@@ -164,6 +164,8 @@ func (rc *runConfig) execute() (*replicaOutput, error) {
 		return nil, err
 	}
 	engineErr := k.Run()
+	// Every output below is rendered before the parked processes unwind.
+	defer k.Release()
 	if engineErr != nil && !s.AllTerminal() {
 		return nil, fmt.Errorf("engine failed with jobs outstanding: %w", engineErr)
 	}

@@ -178,43 +178,25 @@ func writeMerged(path string, events []taggedEvent) {
 		case "M":
 			if ev.Name == "process_name" {
 				fmt.Fprintf(bw, "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":%s}}",
-					ev.Pid, quoteJSON(ev.Args.Name))
+					ev.Pid, trace.QuoteJSON(ev.Args.Name))
 			} else {
 				fmt.Fprintf(bw, "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":%s,\"args\":{\"name\":%s}}",
-					ev.Pid, ev.Tid, quoteJSON(ev.Name), quoteJSON(ev.Args.Name))
+					ev.Pid, ev.Tid, trace.QuoteJSON(ev.Name), trace.QuoteJSON(ev.Args.Name))
 			}
 		case "X":
 			fmt.Fprintf(bw, "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"dur\":%d,\"name\":%s}",
-				ev.Pid, ev.Tid, ev.Ts, ev.Dur, quoteJSON(ev.Name))
+				ev.Pid, ev.Tid, ev.Ts, ev.Dur, trace.QuoteJSON(ev.Name))
 		case "i":
 			fmt.Fprintf(bw, "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"s\":\"t\",\"name\":%s}",
-				ev.Pid, ev.Tid, ev.Ts, quoteJSON(ev.Name))
+				ev.Pid, ev.Tid, ev.Ts, trace.QuoteJSON(ev.Name))
 		case "C":
 			fmt.Fprintf(bw, "{\"ph\":\"C\",\"pid\":%d,\"ts\":%d,\"name\":%s,\"args\":{\"value\":%d}}",
-				ev.Pid, ev.Ts, quoteJSON(ev.Name), ev.Args.Value)
+				ev.Pid, ev.Ts, trace.QuoteJSON(ev.Name), ev.Args.Value)
 		}
 	}
 	bw.WriteString("\n]}\n")
 	check(bw.Flush())
 	check(f.Close())
-}
-
-// quoteJSON mirrors the exporter's string quoting (trace/chrome.go).
-func quoteJSON(s string) string {
-	buf := make([]byte, 0, len(s)+2)
-	buf = append(buf, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			buf = append(buf, '\\', c)
-		case c < 0x20:
-			buf = append(buf, fmt.Sprintf("\\u%04x", c)...)
-		default:
-			buf = append(buf, c)
-		}
-	}
-	return string(append(buf, '"'))
 }
 
 // thread aggregates one tid's rows.

@@ -45,6 +45,7 @@ func runSched(spec string) (string, []string) {
 		return "", []string{fmt.Sprintf("parse: %v", err)}
 	}
 	k := sim.NewKernel()
+	defer k.Release() // after the digest below is rendered
 	sys, err := vscc.NewSystem(k, vscc.Config{Devices: 2, Scheme: vscc.SchemeVDMA, Faults: fcfg})
 	if err != nil {
 		return "", []string{fmt.Sprintf("system: %v", err)}
@@ -125,6 +126,7 @@ func runTaskrt(spec string) (string, []string) {
 		return "", []string{fmt.Sprintf("parse: %v", err)}
 	}
 	k := sim.NewKernel()
+	defer k.Release() // after the digest below is rendered
 	sys, err := vscc.NewSystem(k, vscc.Config{Devices: 2, Scheme: vscc.SchemeVDMA, Faults: fcfg})
 	if err != nil {
 		return "", []string{fmt.Sprintf("system: %v", err)}

@@ -48,49 +48,40 @@ func LUSweep(cfg BTSweepConfig, counts []int) ([]BTPoint, error) {
 	})
 }
 
-// BTRun executes one BT configuration on a fresh vSCC.
-func BTRun(cfg BTSweepConfig, ranks int) (BTPoint, error) {
-	if cfg.Devices == 0 {
-		cfg.Devices = (ranks + 47) / 48
-		if cfg.Devices < 1 {
-			cfg.Devices = 1
-		}
-	}
-	if cfg.Iterations == 0 {
-		cfg.Iterations = 2
-	}
-	if w := PDESWorkers(); w > 0 {
-		return btRunPDES(cfg, ranks, w)
-	}
-	k := sim.NewKernel()
-	sys, err := vscc.NewSystem(k, sysConfig(vscc.Config{Devices: cfg.Devices, Scheme: cfg.Scheme}))
-	if err != nil {
-		return BTPoint{}, err
-	}
-	sink := observe(fmt.Sprintf("fig7/bt/%s/ranks=%03d", cfg.Scheme.Key(), ranks), k)
-	sys.Instrument(sink)
-	session, err := sys.NewSession(ranks, rcce.WithSink(sink))
-	if err != nil {
-		return BTPoint{}, err
-	}
-	d, err := npb.NewDecomp(cfg.Class.N, ranks)
-	if err != nil {
-		return BTPoint{}, err
-	}
-	res, err := npb.RunOn(session, d, npb.Config{
-		Class:      cfg.Class,
-		Iterations: cfg.Iterations,
-		Timing:     true,
-	})
-	if err != nil {
-		return BTPoint{}, fmt.Errorf("bt ranks=%d: %w", ranks, err)
-	}
-	return BTPoint{Ranks: ranks, GFlops: res.GFlops, Cycles: res.Cycles}, nil
+// npbApp is one NPB workload: its name in labels and errors, and how
+// it decomposes and runs on a session.
+type npbApp struct {
+	name string
+	run  func(session *rcce.Session, cfg BTSweepConfig, ranks int) (npb.Result, error)
 }
 
-// LURun executes the NPB LU extension workload (latency-bound wavefront
-// sweeps — the communication contrast to BT) on a fresh vSCC.
-func LURun(cfg BTSweepConfig, ranks int) (BTPoint, error) {
+var (
+	appBT = npbApp{"bt", func(session *rcce.Session, cfg BTSweepConfig, ranks int) (npb.Result, error) {
+		d, err := npb.NewDecomp(cfg.Class.N, ranks)
+		if err != nil {
+			return npb.Result{}, err
+		}
+		return npb.RunOn(session, d, npb.Config{Class: cfg.Class, Iterations: cfg.Iterations, Timing: true})
+	}}
+	// LU is the latency-bound wavefront contrast to BT's communication.
+	appLU = npbApp{"lu", func(session *rcce.Session, cfg BTSweepConfig, ranks int) (npb.Result, error) {
+		d, err := npb.NewLUDecomp(cfg.Class.N, ranks)
+		if err != nil {
+			return npb.Result{}, err
+		}
+		return npb.RunLU(session, d, npb.Config{Class: cfg.Class, Iterations: cfg.Iterations, Timing: true})
+	}}
+)
+
+// BTRun executes one BT configuration on a fresh vSCC.
+func BTRun(cfg BTSweepConfig, ranks int) (BTPoint, error) { return npbRun(appBT, cfg, ranks) }
+
+// LURun executes the NPB LU extension workload on a fresh vSCC.
+func LURun(cfg BTSweepConfig, ranks int) (BTPoint, error) { return npbRun(appLU, cfg, ranks) }
+
+// npbRun executes one configuration of app on a fresh vSCC, on the
+// engine SetPDES selects.
+func npbRun(app npbApp, cfg BTSweepConfig, ranks int) (BTPoint, error) {
 	if cfg.Devices == 0 {
 		cfg.Devices = (ranks + 47) / 48
 		if cfg.Devices < 1 {
@@ -101,30 +92,23 @@ func LURun(cfg BTSweepConfig, ranks int) (BTPoint, error) {
 		cfg.Iterations = 2
 	}
 	if w := PDESWorkers(); w > 0 {
-		return luRunPDES(cfg, ranks, w)
+		return pdesPoint(app, cfg, ranks, w)
 	}
 	k := sim.NewKernel()
+	defer k.Release()
 	sys, err := vscc.NewSystem(k, sysConfig(vscc.Config{Devices: cfg.Devices, Scheme: cfg.Scheme}))
 	if err != nil {
 		return BTPoint{}, err
 	}
-	sink := observe(fmt.Sprintf("fig7/lu/%s/ranks=%03d", cfg.Scheme.Key(), ranks), k)
+	sink := observe(fmt.Sprintf("fig7/%s/%s/ranks=%03d", app.name, cfg.Scheme.Key(), ranks), k)
 	sys.Instrument(sink)
 	session, err := sys.NewSession(ranks, rcce.WithSink(sink))
 	if err != nil {
 		return BTPoint{}, err
 	}
-	d, err := npb.NewLUDecomp(cfg.Class.N, ranks)
+	res, err := app.run(session, cfg, ranks)
 	if err != nil {
-		return BTPoint{}, err
-	}
-	res, err := npb.RunLU(session, d, npb.Config{
-		Class:      cfg.Class,
-		Iterations: cfg.Iterations,
-		Timing:     true,
-	})
-	if err != nil {
-		return BTPoint{}, fmt.Errorf("lu ranks=%d: %w", ranks, err)
+		return BTPoint{}, fmt.Errorf("%s ranks=%d: %w", app.name, ranks, err)
 	}
 	return BTPoint{Ranks: ranks, GFlops: res.GFlops, Cycles: res.Cycles}, nil
 }

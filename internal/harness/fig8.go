@@ -32,6 +32,7 @@ func CaptureTraffic(cfg TrafficConfig) (*trace.Matrix, error) {
 		cfg.ScaleTo = cfg.Class.Iterations
 	}
 	k := sim.NewKernel()
+	defer k.Release()
 	devices := (cfg.Ranks + 47) / 48
 	sys, err := vscc.NewSystem(k, sysConfig(vscc.Config{Devices: devices, Scheme: cfg.Scheme}))
 	if err != nil {

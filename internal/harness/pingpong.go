@@ -69,6 +69,9 @@ func pingPong(mk func() (*rcce.Session, error), a, b, size, reps int) (PingPongP
 			}
 		}
 	})
+	// The point's outputs are the rank-written cycles; release the parked
+	// host daemons.
+	session.Kernel.Release()
 	if runErr != nil {
 		return PingPongPoint{}, runErr
 	}

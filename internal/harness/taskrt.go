@@ -87,6 +87,7 @@ func TaskrtSweep(cfg TaskrtConfig) ([]TaskrtPoint, error) {
 // taskrtPoint builds and runs one replica.
 func taskrtPoint(cfg TaskrtConfig, rep int) (TaskrtPoint, error) {
 	k := sim.NewKernel()
+	defer k.Release()
 	sys, err := vscc.NewSystem(k, sysConfig(vscc.Config{Devices: cfg.Devices, Scheme: cfg.Scheme}))
 	if err != nil {
 		return TaskrtPoint{}, fmt.Errorf("taskrt %s/%s: %w", cfg.Workload, cfg.Scheme.Key(), err)

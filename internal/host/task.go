@@ -734,19 +734,9 @@ func (t *Task) runForwarder(p *sim.Proc, dev int) {
 // deliver lands a masked line write in a device's LMB and keeps host
 // copies consistent.
 func (t *Task) deliver(dev, tile, off int, data []byte, mask uint32) {
-	i := 0
-	for i < mem.LineSize && i < len(data) {
-		if mask&(1<<uint(i)) == 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < mem.LineSize && j < len(data) && mask&(1<<uint(j)) != 0 {
-			j++
-		}
-		t.hostWrite(dev, tile, off+i, data[i:j])
-		i = j
-	}
+	mem.MaskedRuns(data, mask, func(i int, run []byte) {
+		t.hostWrite(dev, tile, off+i, run)
+	})
 	t.invalidateHostCopies(dev, tile, off, mem.LineSize)
 }
 

@@ -96,3 +96,24 @@ type WCBStats struct {
 func (w *WCB) Stats() WCBStats {
 	return WCBStats{Merges: w.merges, Drains: w.drains, PartialDrains: w.partial}
 }
+
+// MaskedRuns calls fn for each maximal run of mask-selected bytes of a
+// line write, lowest offset first; i is the run's offset in the line.
+// Bytes past the line (or past data) are never selected.
+func MaskedRuns(data []byte, mask uint32, fn func(i int, run []byte)) {
+	if len(data) > LineSize {
+		data = data[:LineSize]
+	}
+	for i := 0; i < len(data); {
+		if mask&(1<<uint(i)) == 0 {
+			i++
+			continue
+		}
+		j := i
+		for j < len(data) && mask&(1<<uint(j)) != 0 {
+			j++
+		}
+		fn(i, data[i:j])
+		i = j
+	}
+}

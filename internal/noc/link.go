@@ -92,22 +92,8 @@ func (l *Link) OccupancyFor(bytes int) sim.Cycles {
 // cycles actually spent.
 func (l *Link) Transfer(p *sim.Proc, bytes int) sim.Cycles {
 	now := p.Now()
-	start := now
-	if l.nextFree > start {
-		start = l.nextFree
-	}
-	occ := l.OccupancyFor(bytes)
-	l.nextFree = start + occ
+	l.reserve(now, bytes)
 	done := l.nextFree + l.Latency
-	queued := start - now
-	l.transfers++
-	l.bytesTotal += uint64(bytes)
-	l.busyCycles += occ
-	l.waitedCycles += queued
-	if queued > l.maxQueueDelay {
-		l.maxQueueDelay = queued
-	}
-	l.record(bytes, start, occ, queued)
 	//lint:ignore simapi done = start + occupancy + latency with start >= now
 	p.Delay(done - now)
 	return done - now
@@ -121,27 +107,27 @@ func (l *Link) Transfer(p *sim.Proc, bytes int) sim.Cycles {
 // one link never reorder.
 func (l *Link) TransferAsync(p *sim.Proc, bytes int, onDelivered func()) {
 	now := p.Now()
-	start := now
-	if l.nextFree > start {
-		start = l.nextFree
+	l.reserve(now, bytes)
+	if onDelivered != nil {
+		p.Kernel().At(l.nextFree+l.Latency, onDelivered)
 	}
+	//lint:ignore simapi nextFree = start + occupancy with start >= now
+	p.Delay(l.nextFree - now)
+}
+
+// reserve books bytes on the channel at or after now and accounts the
+// transfer; the last byte is on the wire at the new nextFree.
+func (l *Link) reserve(now sim.Cycles, bytes int) {
+	start := max(now, l.nextFree)
 	occ := l.OccupancyFor(bytes)
 	l.nextFree = start + occ
-	deliveredAt := l.nextFree + l.Latency
 	queued := start - now
 	l.transfers++
 	l.bytesTotal += uint64(bytes)
 	l.busyCycles += occ
 	l.waitedCycles += queued
-	if queued > l.maxQueueDelay {
-		l.maxQueueDelay = queued
-	}
+	l.maxQueueDelay = max(l.maxQueueDelay, queued)
 	l.record(bytes, start, occ, queued)
-	if onDelivered != nil {
-		p.Kernel().At(deliveredAt, onDelivered)
-	}
-	//lint:ignore simapi nextFree = start + occupancy with start >= now
-	p.Delay(l.nextFree - now)
 }
 
 // EarliestCompletion returns when a transfer submitted now would complete,

@@ -394,34 +394,17 @@ func (s *Scheduler) feasible(n int) error {
 	if n > rcce.MaxRanks {
 		return fmt.Errorf("%d ranks exceeds MaxRanks=%d", n, rcce.MaxRanks)
 	}
-	total := 0
-	for _, chip := range s.sys.Chips {
-		total += len(chip.AliveCores())
+	alive, total := make([]int, len(s.sys.Chips)), 0
+	for d, chip := range s.sys.Chips {
+		alive[d] = len(chip.AliveCores())
+		total += alive[d]
 	}
 	if n > total {
 		return fmt.Errorf("%d ranks exceeds the machine's %d cores", n, total)
 	}
 	// Worst admissible placement on the empty machine: device-major over
-	// all alive cores, mirroring allocate.
-	perDev := make([]int, len(s.sys.Chips))
-	left := n
-	for d, chip := range s.sys.Chips {
-		take := len(chip.AliveCores())
-		if take > left {
-			take = left
-		}
-		perDev[d] = take
-		left -= take
-		if left == 0 {
-			break
-		}
-	}
-	span := 0
-	for _, c := range perDev {
-		if c > 0 {
-			span++
-		}
-	}
+	// all alive cores, as allocate packs.
+	perDev, span := packDeviceMajor(alive, n)
 	if span > 1 {
 		for d, c := range perDev {
 			if need := c * (span - 1); need > s.lutPer {
@@ -450,32 +433,15 @@ func (s *Scheduler) tryAdmit() {
 // allocate packs n ranks device-major over the sorted free lists and
 // charges LUT slots for inter-device spans. It commits only on success.
 func (s *Scheduler) allocate(n int) ([]rcce.Place, []int, bool) {
-	total := 0
-	for _, f := range s.free {
+	free, total := make([]int, len(s.free)), 0
+	for d, f := range s.free {
+		free[d] = len(f)
 		total += len(f)
 	}
 	if n > total {
 		return nil, nil, false
 	}
-	perDev := make([]int, len(s.free))
-	left := n
-	for d := range s.free {
-		take := len(s.free[d])
-		if take > left {
-			take = left
-		}
-		perDev[d] = take
-		left -= take
-		if left == 0 {
-			break
-		}
-	}
-	span := 0
-	for _, c := range perDev {
-		if c > 0 {
-			span++
-		}
-	}
+	perDev, span := packDeviceMajor(free, n)
 	lut := make([]int, len(s.free))
 	if span > 1 {
 		for d, c := range perDev {
@@ -497,6 +463,24 @@ func (s *Scheduler) allocate(n int) ([]rcce.Place, []int, bool) {
 		s.lutFree[d] -= lut[d]
 	}
 	return places, lut, true
+}
+
+// packDeviceMajor packs n ranks device-major over avail[d] free cores
+// per device, returning the per-device counts and how many devices the
+// placement spans.
+func packDeviceMajor(avail []int, n int) (perDev []int, span int) {
+	perDev = make([]int, len(avail))
+	for d, a := range avail {
+		if n == 0 {
+			break
+		}
+		perDev[d] = min(a, n)
+		n -= perDev[d]
+		if perDev[d] > 0 {
+			span++
+		}
+	}
+	return perDev, span
 }
 
 // start admits one job: bind its cores to the tenant, create the tenant

@@ -29,6 +29,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -614,6 +615,35 @@ func (p *Proc) Kill(err error) {
 	if p.state == procBlocked {
 		p.unpark()
 	}
+}
+
+// errReleased is the kill error Release unwinds parked processes with.
+var errReleased = errors.New("sim: simulation released")
+
+// Release unwinds every process still parked in a simulation its owner
+// has finished with — host daemons waiting for work that never comes,
+// ranks stranded by a device crash — so their goroutines exit and the
+// simulation can be collected. Each one unwinds through its deferred
+// handlers as under Kill; a process that never started is dropped. The
+// clock and Events are left as they were. Call it only once every
+// output of the run has been read, since those handlers may still
+// touch results, and never while the kernel runs; the kernel must not
+// run again.
+func (k *Kernel) Release() {
+	for _, p := range k.procs {
+		switch p.state {
+		case procBlocked, procRunnable:
+			if p.killErr == nil {
+				p.killErr = errReleased
+			}
+			p.state = procRunning
+			p.run <- struct{}{}
+			<-k.yield
+		case procNew:
+			p.state = procDone
+		}
+	}
+	k.procs, k.queue, k.bucket, k.head = nil, nil, nil, 0
 }
 
 // checkKill delivers a pending kill at a resume point.

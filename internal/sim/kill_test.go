@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestKillWakesParkedProcess: a process parked forever unwinds with the
@@ -154,4 +156,55 @@ func TestKillIdempotence(t *testing.T) {
 		t.Fatalf("recovered %v, want the first kill error", got)
 	}
 	p.Kill(err2) // after procDone: must be a no-op
+}
+
+// waitGoroutines polls until the goroutine count falls to want: a
+// released process's goroutine exits just after handing the token back.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, want at most %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestKernelRelease: Release unwinds a parked daemon, a blocked process
+// (running its deferred handler), and one whose Delay wakeup is still
+// queued, drops a process that never started, and leaves the clock and
+// event count untouched.
+func TestKernelRelease(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	c := NewCond(k, "never")
+	k.SpawnDaemon("daemon", func(p *Proc) {
+		for {
+			c.Wait(p)
+		}
+	})
+	unwound := false
+	k.Spawn("stranded", func(p *Proc) {
+		defer func() { unwound = true }()
+		c.Wait(p)
+	})
+	k.Spawn("sleeper", func(p *Proc) { p.Delay(1000) })
+	started := false
+	k.SpawnAt(500, "late", func(p *Proc) { started = true })
+	if err := k.RunUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	now, events := k.Now(), k.Events()
+	k.Release()
+	if !unwound {
+		t.Error("the stranded process's deferred handler did not run")
+	}
+	if started {
+		t.Error("a process that never started ran its body")
+	}
+	if k.Now() != now || k.Events() != events {
+		t.Errorf("release moved the kernel: now %d->%d, events %d->%d", now, k.Now(), events, k.Events())
+	}
+	waitGoroutines(t, base)
 }

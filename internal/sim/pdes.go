@@ -103,6 +103,15 @@ func (pd *PDES) Events() uint64 {
 	return n
 }
 
+// Release releases every sub-kernel (see Kernel.Release) and drops the
+// undelivered messages.
+func (pd *PDES) Release() {
+	for i, k := range pd.kernels {
+		k.Release()
+		pd.outbox[i] = nil
+	}
+}
+
 // Post sends a cross-kernel message: fn will run on kernel dst at cycle
 // at. It must be called from kernel src's own context (a process body
 // or callback running on that kernel) and at must respect the

@@ -52,23 +52,23 @@ func WriteChrome(w io.Writer, caps []Capture) error {
 					name = cap.Name + "/" + tr.process
 				}
 				emit(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":%s}}",
-					pid, quoteJSON(name)))
+					pid, QuoteJSON(name)))
 			}
 			pidOf[i] = pid
 			tidOf[i] = procTids[tr.process]
 			procTids[tr.process]++
 			emit(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}",
-				pid, tidOf[i], quoteJSON(tr.thread)))
+				pid, tidOf[i], QuoteJSON(tr.thread)))
 		}
 		for _, sp := range s.spans {
 			pid, tid := pidOf[sp.track], tidOf[sp.track]
 			if sp.instant {
 				emit(fmt.Sprintf("{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"s\":\"t\",\"name\":%s}",
-					pid, tid, uint64(sp.from), quoteJSON(sp.name)))
+					pid, tid, uint64(sp.from), QuoteJSON(sp.name)))
 				continue
 			}
 			emit(fmt.Sprintf("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"dur\":%d,\"name\":%s}",
-				pid, tid, uint64(sp.from), uint64(sp.to-sp.from), quoteJSON(sp.name)))
+				pid, tid, uint64(sp.from), uint64(sp.to-sp.from), QuoteJSON(sp.name)))
 		}
 		if len(s.samples) > 0 {
 			pid := nextPid
@@ -78,10 +78,10 @@ func WriteChrome(w io.Writer, caps []Capture) error {
 				name = cap.Name + "/metrics"
 			}
 			emit(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":%s}}",
-				pid, quoteJSON(name)))
+				pid, QuoteJSON(name)))
 			for _, cs := range s.samples {
 				emit(fmt.Sprintf("{\"ph\":\"C\",\"pid\":%d,\"ts\":%d,\"name\":%s,\"args\":{\"value\":%d}}",
-					pid, uint64(cs.at), quoteJSON(cs.name), cs.value))
+					pid, uint64(cs.at), QuoteJSON(cs.name), cs.value))
 			}
 		}
 	}
@@ -89,10 +89,10 @@ func WriteChrome(w io.Writer, caps []Capture) error {
 	return bw.Flush()
 }
 
-// quoteJSON returns s as a quoted JSON string. Track and event names are
+// QuoteJSON returns s as a quoted JSON string. Track and event names are
 // plain ASCII identifiers in practice; quotes, backslashes and control
 // characters are escaped for safety.
-func quoteJSON(s string) string {
+func QuoteJSON(s string) string {
 	buf := make([]byte, 0, len(s)+2)
 	buf = append(buf, '"')
 	for i := 0; i < len(s); i++ {

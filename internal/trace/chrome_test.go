@@ -116,12 +116,12 @@ func TestQuoteJSONEscapes(t *testing.T) {
 		"nl\nthere":  "\"nl\\u000athere\"",
 		"bell\x07up": "\"bell\\u0007up\"",
 	} {
-		if got := quoteJSON(in); got != want {
-			t.Errorf("quoteJSON(%q) = %s, want %s", in, got, want)
+		if got := QuoteJSON(in); got != want {
+			t.Errorf("QuoteJSON(%q) = %s, want %s", in, got, want)
 		}
 		var back string
-		if err := json.Unmarshal([]byte(quoteJSON(in)), &back); err != nil || back != in {
-			t.Errorf("quoteJSON(%q) does not round-trip: %v, %q", in, err, back)
+		if err := json.Unmarshal([]byte(QuoteJSON(in)), &back); err != nil || back != in {
+			t.Errorf("QuoteJSON(%q) does not round-trip: %v, %q", in, err, back)
 		}
 	}
 }

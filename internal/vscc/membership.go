@@ -81,22 +81,216 @@ func (s DevState) String() string {
 	return "invalid"
 }
 
-// devRecord is the membership state of one device.
-type devRecord struct {
+// devLifecycle is one device's crash lifecycle. It lives on the kernel
+// that simulates the device — the classic engine's single kernel, or
+// the device's own kernel under PDES — and touches no state outside it.
+// It owns the membership state and epoch, the chip lifecycle gate (closed
+// while the device is crashed, so its cores freeze at their next memory
+// operation and thaw on rejoin), the checkpoint journal with its boot and
+// periodic snapshots, and the ckpt.*, epoch.advance and replay.*
+// counters. What differs between the engines is passed in as hooks.
+type devLifecycle struct {
+	k     *sim.Kernel
+	dev   int
+	chip  *scc.Chip
+	sink  *trace.Sink
+	drain sim.Cycles
+	hooks lifecycleHooks
+
 	state DevState
 	epoch uint8
-	// gate is the chip lifecycle gate: closed while the device is
-	// crashed, so its cores freeze at their next memory operation and
-	// thaw on rejoin (the core image rides along with the checkpoint).
-	gate *sim.Gate
-	// up wakes peers blocked in AwaitUp on every return to DevUp.
-	up *sim.Cond
-	// log is the device's crash-consistent checkpoint state.
-	log *ckpt.Log
+	gate  *sim.Gate
+	log   *ckpt.Log
 	// img is the restore image captured at the crash point, with the
 	// journal-replay totals for the replay.* counters.
 	img                 [][]byte
 	imgWrites, imgBytes int
+}
+
+// lifecycleHooks are the engine-specific steps of a device lifecycle.
+// Every hook runs on the device's kernel; nil hooks are skipped.
+type lifecycleHooks struct {
+	// injected records a fault taking effect (kind "devcrash" or
+	// "devlinkdown"); recovered records the rejoin. Both are required.
+	injected  func(kind string)
+	recovered func()
+	// down runs once the device is down: epoch advanced, memory wiped.
+	down func()
+	// replay runs once the device is up again, before its lifecycle gate
+	// reopens; up runs last, after the recovery is recorded.
+	replay, up func()
+	// ticking is asked as each periodic checkpoint fires: false ends the
+	// chain. A counter of unfinished faults fits the single-kernel engine;
+	// it would race across kernels, so PDES bounds the chain by a static
+	// horizon instead: no checkpoint is rearmed after that cycle.
+	ticking func() bool
+	horizon sim.Cycles
+}
+
+// crashTiming is the lifecycle timing a fault schedule fixes for every
+// device.
+type crashTiming struct {
+	drain, rejoin, interval sim.Cycles
+}
+
+func newCrashTiming(cfg fault.Config) crashTiming {
+	t := crashTiming{drain: fault.DefaultDrainCycles, rejoin: cfg.RejoinCycles, interval: cfg.CkptInterval}
+	if t.rejoin <= 0 {
+		t.rejoin = fault.DefaultRejoinCycles
+	}
+	if t.interval <= 0 {
+		t.interval = fault.DefaultCkptInterval
+	}
+	return t
+}
+
+// outage is how long a scheduled fault keeps its device down.
+func (t crashTiming) outage(df fault.DeviceFault) sim.Cycles {
+	if df.Down > 0 {
+		return df.Down
+	}
+	return t.rejoin
+}
+
+// newDevLifecycle wires the lifecycle gate and checkpoint journal into
+// the chip, takes the boot checkpoint and starts the periodic ones.
+func newDevLifecycle(k *sim.Kernel, chip *scc.Chip, t crashTiming, h lifecycleHooks) *devLifecycle {
+	l := &devLifecycle{
+		k: k, dev: chip.Index, chip: chip, drain: t.drain, hooks: h,
+		gate: sim.NewGate(k, fmt.Sprintf("dev%d.alive", chip.Index)),
+		log:  ckpt.NewLog(),
+	}
+	l.gate.Open()
+	chip.SetLifecycleGate(l.gate)
+	chip.SetWriteObserver(func(tile, off int, data []byte) {
+		l.log.Note(tile, off, data)
+	})
+	// Checkpoint zero: the boot image. It guarantees a restore base
+	// exists even for a crash before the first interval tick — the
+	// journal then replays the whole history, which is correct if
+	// slow; the periodic checkpoints exist to truncate it.
+	l.log.Checkpoint(chip.SnapshotLMB())
+	// Periodic checkpoints run as a self-rescheduling timer chain, not a
+	// Delay-looping daemon: the chain stops once every scheduled fault
+	// has completed, so the kernel's event queue can drain.
+	var tick func()
+	tick = func() {
+		if h.ticking != nil && !h.ticking() {
+			return
+		}
+		l.checkpoint()
+		if h.horizon == 0 || k.Now() <= h.horizon {
+			k.After(t.interval, tick)
+		}
+	}
+	k.After(t.interval, tick)
+	return l
+}
+
+// count records a lifecycle counter and its per-device mirror. The
+// dynamic per-device name is only built once the sink is known enabled.
+func (l *devLifecycle) count(name string, v int64) {
+	if !l.sink.Enabled() {
+		return
+	}
+	l.sink.Add(name, v)
+	l.sink.Add(name+".d"+strconv.Itoa(l.dev), v)
+}
+
+// lost reports whether the device is unreachable (false on a nil
+// lifecycle: no device fault is armed).
+func (l *devLifecycle) lost() bool {
+	return l != nil && (l.state == DevDown || l.state == DevRejoining)
+}
+
+// checkpoint takes one periodic snapshot of an up device. A draining or
+// down device is skipped: its image is frozen at the crash point.
+func (l *devLifecycle) checkpoint() {
+	if l.state != DevUp {
+		return
+	}
+	banks := l.chip.SnapshotLMB()
+	l.log.Checkpoint(banks)
+	total := 0
+	for _, b := range banks {
+		total += len(b)
+	}
+	l.count("ckpt.take", 1)
+	l.count("ckpt.bytes", int64(total))
+}
+
+// fail starts the drain phase of one scheduled fault that keeps the
+// device down for downFor; wipe distinguishes a crash from a link-down.
+// It reports false for a void fault, one scheduled while the device is
+// not up (overlapping windows).
+func (l *devLifecycle) fail(downFor sim.Cycles, wipe bool) bool {
+	if l.state != DevUp {
+		return false
+	}
+	kind := "devlinkdown"
+	if wipe {
+		kind = "devcrash"
+	}
+	l.hooks.injected(kind)
+	l.state = DevDraining
+	if wipe {
+		// Cores freeze at their next memory operation; a link-down
+		// leaves them computing on intact local memory.
+		l.gate.Close()
+	}
+	l.k.After(l.drain, func() { l.down(downFor, wipe) })
+	return true
+}
+
+// down completes the fault: the epoch advances and, for a crash, the
+// crash-point image is captured from the checkpoint log before the wipe
+// destroys the live one.
+func (l *devLifecycle) down(downFor sim.Cycles, wipe bool) {
+	l.state = DevDown
+	l.epoch++
+	l.count("epoch.advance", 1)
+	if wipe {
+		l.img, l.imgWrites, l.imgBytes = l.log.Restore()
+		l.chip.WipeLMB()
+	}
+	if l.hooks.down != nil {
+		l.hooks.down()
+	}
+	l.k.After(downFor, func() { l.rejoin(wipe) })
+}
+
+// rejoin restores the crash-point image, rebases the journal on it, and
+// brings the device back up.
+func (l *devLifecycle) rejoin(wipe bool) {
+	l.state = DevRejoining
+	if wipe {
+		l.chip.LoadLMB(l.img)
+		l.count("replay.writes", int64(l.imgWrites))
+		l.count("replay.bytes", int64(l.imgBytes))
+		l.img = nil
+		// Rebase the journal on the restored image so a second crash
+		// replays from here, not from the pre-crash snapshot.
+		l.log.Checkpoint(l.chip.SnapshotLMB())
+	}
+	l.state = DevUp
+	if l.hooks.replay != nil {
+		l.hooks.replay()
+	}
+	if wipe {
+		l.gate.Open()
+	}
+	l.hooks.recovered()
+	if l.hooks.up != nil {
+		l.hooks.up()
+	}
+}
+
+// memberDev is the classic engine's record of one device: its lifecycle
+// plus the cross-device waiters a single kernel can offer.
+type memberDev struct {
+	*devLifecycle
+	// up wakes peers blocked in AwaitUp on every return to DevUp.
+	up *sim.Cond
 	// replaying is set from the moment the device leaves DevUp until its
 	// rejoin's journal replay has finished, so AfterReplay hooks
 	// registered anywhere in that window fire only once the restored
@@ -113,15 +307,8 @@ type devRecord struct {
 // a nil manager on byte-identical code paths.
 type Membership struct {
 	k      *sim.Kernel
-	chips  []*scc.Chip
 	fabric *pcie.Fabric
-	task   *host.Task
-	inj    *fault.Injector
-
-	devs   []*devRecord
-	drain  sim.Cycles
-	rejoin sim.Cycles
-	sink   *trace.Sink
+	devs   []*memberDev
 
 	// pending counts scheduled device faults that have not finished
 	// their lifecycle. The periodic checkpoint timers stop once it hits
@@ -132,65 +319,41 @@ type Membership struct {
 // Statically assert the framing-layer contract.
 var _ pcie.DeviceView = (*Membership)(nil)
 
-// newMembership wires the manager into the chips (lifecycle gates and
-// checkpoint journals), the fabric (epoch stamping and journal holds)
-// and the host task (reachability gates), takes the boot checkpoint of
-// every device, and schedules the configured device faults.
+// newMembership wires one lifecycle per device into the chips, the
+// fabric (epoch stamping and journal holds) and the host task
+// (reachability gates), and schedules the configured device faults.
 func newMembership(k *sim.Kernel, chips []*scc.Chip, fabric *pcie.Fabric, task *host.Task, inj *fault.Injector) *Membership {
 	cfg := inj.Config()
-	m := &Membership{
-		k: k, chips: chips, fabric: fabric, task: task, inj: inj,
-		drain:  fault.DefaultDrainCycles,
-		rejoin: cfg.RejoinCycles,
-	}
-	if m.rejoin <= 0 {
-		m.rejoin = fault.DefaultRejoinCycles
-	}
-	interval := cfg.CkptInterval
-	if interval <= 0 {
-		interval = fault.DefaultCkptInterval
-	}
+	t := newCrashTiming(cfg)
+	m := &Membership{k: k, fabric: fabric}
 	for d, chip := range chips {
-		rec := &devRecord{
-			gate: sim.NewGate(k, fmt.Sprintf("dev%d.alive", d)),
-			up:   sim.NewCond(k, fmt.Sprintf("dev%d.rejoin", d)),
-			log:  ckpt.NewLog(),
-		}
-		rec.gate.Open()
-		m.devs = append(m.devs, rec)
-		chip.SetLifecycleGate(rec.gate)
-		chip.SetWriteObserver(func(tile, off int, data []byte) {
-			rec.log.Note(tile, off, data)
+		d := d
+		rec := &memberDev{up: sim.NewCond(k, fmt.Sprintf("dev%d.rejoin", d))}
+		rec.devLifecycle = newDevLifecycle(k, chip, t, lifecycleHooks{
+			injected:  func(kind string) { inj.RecordInjection(kind, "vscc.device", d) },
+			recovered: func() { inj.RecordRecovery("rejoin", "vscc.device", d) },
+			// From down to rejoin every frame toward or from the device
+			// is held in the senders' journals.
+			down: func() { task.DeviceDown(d) },
+			up: func() {
+				task.DeviceUp(d)
+				m.pending--
+				rec.up.Broadcast()
+				m.replayJournals(rec)
+			},
+			ticking: func() bool { return m.pending != 0 },
 		})
-		// Checkpoint zero: the boot image. It guarantees a restore base
-		// exists even for a crash before the first interval tick — the
-		// journal then replays the whole history, which is correct if
-		// slow; the periodic checkpoints exist to truncate it.
-		rec.log.Checkpoint(chip.SnapshotLMB())
-		d, chip := d, chip
-		// Periodic checkpoints run as a self-rescheduling timer chain,
-		// not a Delay-looping daemon: the chain stops once every
-		// scheduled fault has completed, so the kernel's event queue can
-		// drain and Run terminates.
-		var tick func()
-		tick = func() {
-			if m.pending == 0 {
-				return
-			}
-			m.checkpoint(d, chip)
-			k.After(interval, tick)
-		}
-		k.After(interval, tick)
+		m.devs = append(m.devs, rec)
 	}
 	fabric.SetMembership(m)
 	m.pending = len(cfg.DevCrashAt) + len(cfg.DevLinkDownAt)
 	for _, df := range cfg.DevCrashAt {
 		df := df
-		k.At(df.At, func() { m.fail(df, true) })
+		k.At(df.At, func() { m.fail(df, t.outage(df), true) })
 	}
 	for _, df := range cfg.DevLinkDownAt {
 		df := df
-		k.At(df.At, func() { m.fail(df, false) })
+		k.At(df.At, func() { m.fail(df, t.outage(df), false) })
 	}
 	return m
 }
@@ -201,17 +364,9 @@ func (m *Membership) Instrument(s *trace.Sink) {
 	if m == nil {
 		return
 	}
-	m.sink = s
-}
-
-// count records a membership counter and its per-device mirror. The
-// dynamic per-device name is only built once the sink is known enabled.
-func (m *Membership) count(name string, dev int, v int64) {
-	if !m.sink.Enabled() {
-		return
+	for _, rec := range m.devs {
+		rec.sink = s
 	}
-	m.sink.Add(name, v)
-	m.sink.Add(name+".d"+strconv.Itoa(dev), v)
 }
 
 // Usable implements pcie.DeviceView: frames may use the wire while the
@@ -227,10 +382,7 @@ func (m *Membership) Epoch(dev int) uint8 { return m.devs[dev].epoch }
 // Lost reports whether the device is currently unreachable — the
 // condition the protocol recovery ladders distinguish from an ordinary
 // lost flag write.
-func (m *Membership) Lost(dev int) bool {
-	s := m.devs[dev].state
-	return s == DevDown || s == DevRejoining
-}
+func (m *Membership) Lost(dev int) bool { return m.devs[dev].lost() }
 
 // State returns the device's membership state (test hook).
 func (m *Membership) State(dev int) DevState { return m.devs[dev].state }
@@ -269,100 +421,23 @@ func (m *Membership) AfterReplay(dev int, fn func()) {
 	rec.afterReplay = append(rec.afterReplay, fn)
 }
 
-// checkpoint takes one periodic snapshot of an up device. A draining or
-// down device is skipped: its image is frozen at the crash point.
-func (m *Membership) checkpoint(d int, chip *scc.Chip) {
-	rec := m.devs[d]
-	if rec.state != DevUp {
+// fail starts one scheduled device fault. A fault on an out-of-range
+// device, or one landing while the device is not up, retires unused.
+func (m *Membership) fail(df fault.DeviceFault, downFor sim.Cycles, wipe bool) {
+	if df.Dev < 0 || df.Dev >= len(m.devs) || !m.devs[df.Dev].fail(downFor, wipe) {
+		m.pending--
 		return
 	}
-	banks := chip.SnapshotLMB()
-	rec.log.Checkpoint(banks)
-	total := 0
-	for _, b := range banks {
-		total += len(b)
-	}
-	m.count("ckpt.take", d, 1)
-	m.count("ckpt.bytes", d, int64(total))
+	m.devs[df.Dev].replaying = true // until the rejoin replay completes
 }
 
-// fail starts the drain phase of one scheduled device fault. A fault
-// scheduled while the device is not up (overlapping windows) is void.
-func (m *Membership) fail(df fault.DeviceFault, wipe bool) {
-	d := df.Dev
-	if d < 0 || d >= len(m.devs) {
-		m.pending-- // out-of-range device: the fault retires unused
-		return
-	}
-	rec := m.devs[d]
-	if rec.state != DevUp {
-		m.pending-- // void fault (overlapping schedule) still retires
-		return
-	}
-	kind := "devlinkdown"
-	if wipe {
-		kind = "devcrash"
-	}
-	m.inj.RecordInjection(kind, "vscc.device", d)
-	rec.state = DevDraining
-	rec.replaying = true // until the rejoin replay completes
-	if wipe {
-		// Cores freeze at their next memory operation; a link-down
-		// leaves them computing on intact local memory.
-		rec.gate.Close()
-	}
-	down := df.Down
-	if down <= 0 {
-		down = m.rejoin
-	}
-	m.k.After(m.drain, func() { m.down(d, down, wipe) })
-}
-
-// down completes the crash: the epoch advances, the crash-point image
-// is captured from the checkpoint log (before the wipe destroys the
-// live one), on-chip memory is lost, and the host marks the device
-// unreachable. From here every frame toward or from the device is held
-// in the senders' journals.
-func (m *Membership) down(d int, downFor sim.Cycles, wipe bool) {
-	rec := m.devs[d]
-	rec.state = DevDown
-	rec.epoch++
-	m.count("epoch.advance", d, 1)
-	if wipe {
-		rec.img, rec.imgWrites, rec.imgBytes = rec.log.Restore()
-		m.chips[d].WipeLMB()
-	}
-	m.task.DeviceDown(d)
-	m.k.After(downFor, func() { m.rejoinDev(d, wipe) })
-}
-
-// rejoinDev brings the device back: restore the checkpoint image, open
-// the gates, wake blocked peers, and replay the held PCIe journals in
-// the new epoch.
-func (m *Membership) rejoinDev(d int, wipe bool) {
-	rec := m.devs[d]
-	rec.state = DevRejoining
-	if wipe {
-		m.chips[d].LoadLMB(rec.img)
-		m.count("replay.writes", d, int64(rec.imgWrites))
-		m.count("replay.bytes", d, int64(rec.imgBytes))
-		rec.img = nil
-		// Rebase the journal on the restored image so a second crash
-		// replays from here, not from the pre-crash snapshot.
-		rec.log.Checkpoint(m.chips[d].SnapshotLMB())
-	}
-	rec.state = DevUp
-	if wipe {
-		rec.gate.Open()
-	}
-	m.task.DeviceUp(d)
-	m.inj.RecordRecovery("rejoin", "vscc.device", d)
-	m.pending--
-	rec.up.Broadcast()
-	m.k.Spawn(fmt.Sprintf("replay.d%d", d), func(p *sim.Proc) {
-		frames, bytes := m.fabric.ReplayDevice(p, d)
-		m.count("replay.frames", d, int64(frames))
-		m.count("replay.frame_bytes", d, int64(bytes))
+// replayJournals runs once a device is back up: the fabric replays its held
+// PCIe journals in the new epoch, then the AfterReplay hooks fire.
+func (m *Membership) replayJournals(rec *memberDev) {
+	m.k.Spawn(fmt.Sprintf("replay.d%d", rec.dev), func(p *sim.Proc) {
+		frames, bytes := m.fabric.ReplayDevice(p, rec.dev)
+		rec.count("replay.frames", int64(frames))
+		rec.count("replay.frame_bytes", int64(bytes))
 		rec.replaying = false
 		hooks := rec.afterReplay
 		rec.afterReplay = nil

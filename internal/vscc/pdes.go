@@ -5,8 +5,12 @@ package vscc
 // coupled by sim.PDES barrier windows with lookahead equal to the PCIe
 // link latency. Each device's mesh, MPB state, L1/WCB models and rcce
 // ranks stay kernel-local; the only cross-kernel traffic is the PCIe
-// fabric boundary, re-implemented here as explicit request/response
-// messages over per-direction link models (pdesLink).
+// fabric boundary: explicit request/response messages over
+// per-direction link models (pdesLink). That protocol is all this file
+// holds — the device ports, held-delivery replay and the host kernel's
+// message handlers. Config validation, session and LUT setup, the
+// per-scheme ack policy and the device crash lifecycle (devLifecycle)
+// are shared with the classic engine.
 //
 // The classic single-kernel engine (System) couples devices through
 // shared structures with zero-latency effects — host.Task delivery
@@ -25,10 +29,7 @@ package vscc
 
 import (
 	"errors"
-	"fmt"
-	"strconv"
 
-	"vscc/internal/ckpt"
 	"vscc/internal/fault"
 	"vscc/internal/host"
 	"vscc/internal/mem"
@@ -112,11 +113,9 @@ func pdesUnsupportedFaults(f *fault.Config) error {
 // NewPDESSystem assembles a domain-decomposed vSCC driven by `workers`
 // goroutines (1 = the serial identity reference).
 func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
-	if cfg.Devices <= 0 {
-		return nil, fmt.Errorf("vscc: %d devices", cfg.Devices)
-	}
-	if cfg.Scheme == SchemeHWAccel && cfg.Devices > 2 {
-		return nil, fmt.Errorf("vscc: the hardware-accelerated scheme is unstable beyond 2 devices (§2.3); got %d", cfg.Devices)
+	chipParams, fabricParams, _, err := cfg.params()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Check {
 		return nil, errors.New("vscc: the consistency checker is a cross-device oracle and cannot run under pdes")
@@ -124,22 +123,9 @@ func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
 	if err := pdesUnsupportedFaults(cfg.Faults); err != nil {
 		return nil, err
 	}
-	chipParams := scc.DefaultParams()
-	if cfg.ChipParams != nil {
-		chipParams = *cfg.ChipParams
-	}
-	fabricParams := pcie.DefaultParams()
-	if cfg.FabricParams != nil {
-		fabricParams = *cfg.FabricParams
-	}
 	if fabricParams.LinkLatency < 1 {
 		return nil, errors.New("vscc: pdes needs a positive PCIe link latency (the lookahead)")
 	}
-	hostParams := host.DefaultParams()
-	if cfg.HostParams != nil {
-		hostParams = *cfg.HostParams
-	}
-	_ = hostParams // reserved: the pdes host uses the pcie op costs only
 
 	s := &PDESSystem{
 		Config:  cfg,
@@ -160,10 +146,7 @@ func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
 	for d := 0; d < cfg.Devices; d++ {
 		s.eng.h2d[d] = pdesLink{bpc: fabricParams.LinkBytesPerCycle, lat: fabricParams.LinkLatency}
 		s.eng.banks[d] = host.NewBanks()
-		chip := scc.NewChip(s.PDES.Kernel(d), d, chipParams)
-		for _, core := range cfg.FailedCores[d] {
-			chip.SetAlive(core, false)
-		}
+		chip := cfg.newChip(s.PDES.Kernel(d), d, chipParams)
 		pt := &pdesPort{
 			sys:    s,
 			dev:    d,
@@ -191,22 +174,15 @@ func (s *PDESSystem) Instrument(sinks []*trace.Sink) {
 			s.sinks[i] = sinks[i]
 		}
 	}
+	for _, pt := range s.ports {
+		if pt.life != nil {
+			pt.life.sink = s.sinks[pt.dev]
+		}
+	}
 }
 
 // hostIdx returns the host kernel's index.
 func (s *PDESSystem) hostIdx() int { return s.Config.Devices }
-
-// Workers returns the configured worker count.
-func (s *PDESSystem) Workers() int { return s.workers }
-
-// TotalCores returns the number of available cores across all devices.
-func (s *PDESSystem) TotalCores() int {
-	n := 0
-	for _, c := range s.Chips {
-		n += len(c.AliveCores())
-	}
-	return n
-}
 
 // Run drives the decomposed simulation to completion.
 func (s *PDESSystem) Run() error { return s.PDES.Run(s.workers) }
@@ -227,26 +203,9 @@ func (s *PDESSystem) NewSession(n int, opts ...rcce.Option) (*rcce.Session, erro
 // rank's observability to its own kernel, and the session runner is
 // the PDES barrier-window engine.
 func (s *PDESSystem) NewSessionAt(places []rcce.Place, opts ...rcce.Option) (*rcce.Session, error) {
-	base := s.Config.OnChipProtocol
-	if base == nil {
-		base = rcce.DefaultProtocol{}
-	}
-	threshold := s.Config.DirectThreshold
-	if threshold == 0 {
-		threshold = s.Config.Scheme.DirectThreshold()
-	}
-	slot := s.Config.VDMASlotBytes
-	if slot > rcce.PayloadBytes/2 {
-		return nil, fmt.Errorf("vscc: vDMA slot %d exceeds half the payload area (%d)", slot, rcce.PayloadBytes/2)
-	}
-	proto := &interDeviceProtocol{
-		base:      base,
-		scheme:    s.Config.Scheme,
-		threshold: threshold,
-		slot:      slot,
-		seqs:      make([]pairSeq, len(places)*len(places)),
-		nRanks:    len(places),
-		published: make([]int, len(places)),
+	proto, err := s.Config.protocol(s.Config.Scheme, len(places))
+	if err != nil {
+		return nil, err
 	}
 	opts = append([]rcce.Option{
 		rcce.WithProtocol(proto),
@@ -258,19 +217,10 @@ func (s *PDESSystem) NewSessionAt(places []rcce.Place, opts ...rcce.Option) (*rc
 	if err != nil {
 		return nil, err
 	}
-	// Boot-time LUT mappings of remote on-chip memory (§2.1); the host
-	// region table has no PDES counterpart — routing decisions live in
-	// the port's write policy.
-	for _, pl := range places {
-		lut := s.Chips[pl.Dev].Cores[pl.Core].LUT
-		for d := range s.Chips {
-			if d == pl.Dev {
-				continue
-			}
-			if err := lut.MapRemoteDevice(d); err != nil {
-				return nil, err
-			}
-		}
+	// The host region table has no PDES counterpart: routing decisions
+	// live in the port's write policy.
+	if err := mapRemoteLUTs(s.Chips, places); err != nil {
+		return nil, err
 	}
 	return session, nil
 }
@@ -315,14 +265,10 @@ type pdesPort struct {
 	// protocol's grant/ready handshake holds.
 	stream map[pdesStreamKey]*pdesStream
 
-	// Device-crash recovery (armed only with a DevCrashAt schedule).
-	state               DevState
-	epoch               uint8
-	gate                *sim.Gate
-	log                 *ckpt.Log
-	img                 [][]byte
-	imgWrites, imgBytes int
-	held                []pdesHeld
+	// life is the device's crash lifecycle, nil unless a DevCrashAt
+	// schedule is armed; held queues host deliveries while it is down.
+	life *devLifecycle
+	held []pdesHeld
 }
 
 func (pt *pdesPort) k() *sim.Kernel { return pt.sys.PDES.Kernel(pt.dev) }
@@ -332,47 +278,23 @@ func (pt *pdesPort) post(at sim.Cycles, fn func()) {
 	pt.sys.PDES.Post(pt.dev, at, pt.sys.hostIdx(), fn)
 }
 
-func (pt *pdesPort) sink() *trace.Sink { return pt.sys.sinks[pt.dev] }
-
-// count mirrors Membership.count: an aggregate counter plus its
-// per-device twin, on this device's own sink.
-func (pt *pdesPort) count(name string, v int64) {
-	sink := pt.sink()
-	if !sink.Enabled() {
-		return
-	}
-	sink.Add(name, v)
-	sink.Add(name+".d"+strconv.Itoa(pt.dev), v)
+// reply sends fn to the host kernel behind n bytes on the
+// device-to-host link, leaving now.
+func (pt *pdesPort) reply(n int, fn func()) {
+	_, arrive := pt.d2h.reserve(pt.k().Now(), n)
+	pt.post(arrive, fn)
 }
 
-// ackPolicy is the write-acknowledgement class of one off-chip store.
-type ackPolicy int
-
-const (
-	ackPosted ackPolicy = iota // fire and forget (WCB absorbed)
-	ackFPGA                    // FPGA fast-ack: local SIF stall only
-	ackHost                    // blocks for the host's receipt
-	ackRemote                  // blocks for the remote apply (4 hops)
-)
-
-// writePolicy mirrors the classic engine's per-scheme ack mode and
-// region modes: routing acks remotely, hw-accel at the FPGA, and the
-// posted-payload schemes (remote put's write-combining window, vDMA's
-// posted region) split payload from flag area by offset.
-func (pt *pdesPort) writePolicy(off int) ackPolicy {
-	switch pt.sys.Config.Scheme {
-	case SchemeRouting:
-		return ackRemote
-	case SchemeHWAccel:
-		return ackFPGA
-	case SchemeRemotePut, SchemeVDMA:
-		if off%mem.CoreLMBSize < rcce.PayloadBytes {
-			return ackPosted
-		}
-		return ackHost
-	default:
-		return ackHost
+// writePolicy derives one store's acknowledgement from the scheme, as
+// the classic host task does: payload stores into a write-combining or
+// posted region are posted (fire and forget, WCB absorbed); every other
+// store is acknowledged per the scheme's fabric ack mode.
+func (pt *pdesPort) writePolicy(off int) (ack pcie.AckMode, posted bool) {
+	scheme := pt.sys.Config.Scheme
+	if m := scheme.regionMode(); (m == host.ModeWriteCombining || m == host.ModePosted) && off%mem.CoreLMBSize < rcce.PayloadBytes {
+		return 0, true
 	}
+	return scheme.ackMode(), false
 }
 
 // WriteLine implements scc.OffChipPort.
@@ -387,16 +309,23 @@ func (pt *pdesPort) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, 
 	//lint:ignore simapi proof: reserve returns done = max(now, free) + occupancy >= now
 	p.Delay(done - now) // the store occupies the SIF queue
 	eng := pt.sys.eng
-	switch pt.writePolicy(off) {
-	case ackPosted:
-		pt.post(arrive, func() { eng.write(srcDev, dev, tile, off, buf, mask, ackPosted, nil) })
-	case ackFPGA:
-		pt.post(arrive, func() { eng.write(srcDev, dev, tile, off, buf, mask, ackFPGA, nil) })
+	switch ack, posted := pt.writePolicy(off); {
+	case posted:
+		pt.post(arrive, func() { eng.write(srcDev, dev, tile, off, buf, mask, nil, nil) })
+	case ack == pcie.AckFPGA:
+		// FPGA fast-ack: only the local SIF stalls.
+		pt.post(arrive, func() { eng.write(srcDev, dev, tile, off, buf, mask, nil, nil) })
 		p.Delay(pt.sys.params.SIFAckCycles)
-	case ackHost, ackRemote:
-		pol := pt.writePolicy(off)
-		wake := func() { p.Unpark() }
-		pt.post(arrive, func() { eng.write(srcDev, dev, tile, off, buf, mask, pol, wake) })
+	default:
+		// Block for the host's receipt, or under transparent routing for
+		// the remote apply (4 hops).
+		var hostWake, remoteWake func()
+		if ack == pcie.AckRemote {
+			remoteWake = func() { p.Unpark() }
+		} else {
+			hostWake = func() { p.Unpark() }
+		}
+		pt.post(arrive, func() { eng.write(srcDev, dev, tile, off, buf, mask, hostWake, remoteWake) })
 		p.Park("pcie write ack")
 	}
 }
@@ -448,28 +377,11 @@ func (pt *pdesPort) MMIORead(p *sim.Proc, srcDev, srcCore, hostDev, off int, buf
 // deliver applies (or holds, while the device is down) one
 // LMB-mutating delivery from the host.
 func (pt *pdesPort) deliver(bytes int, fn func()) {
-	if pt.state == DevDown || pt.state == DevRejoining {
+	if pt.life.lost() {
 		pt.held = append(pt.held, pdesHeld{fn: fn, bytes: bytes})
 		return
 	}
 	fn()
-}
-
-// applyMasked lands the valid runs of a masked line write through the
-// chip's host write path (journaled, flag waiters woken).
-func (pt *pdesPort) applyMasked(tile, off int, data [mem.LineSize]byte, mask uint32) {
-	for i := 0; i < mem.LineSize; {
-		if mask&(1<<uint(i)) == 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < mem.LineSize && mask&(1<<uint(j)) != 0 {
-			j++
-		}
-		pt.chip.HostWriteLMB(tile, off+i, data[i:j])
-		i = j
-	}
 }
 
 // dropStream discards the receiver-side copy of a published range
@@ -484,140 +396,52 @@ func (pt *pdesPort) installStream(dev, tile, off int, data []byte) {
 	pt.stream[pdesStreamKey{dev, tile, off / mem.CoreLMBSize}] = &pdesStream{off: off, data: data}
 }
 
-// --- device-crash lifecycle ---------------------------------------------
-
-// armDeviceFaults wires the checkpoint journal, lifecycle gate and
-// crash/rejoin schedule of every device onto its own kernel, mirroring
-// newMembership (same counters, same drain/down/rejoin phases) without
-// any cross-kernel state.
+// armDeviceFaults gives every device a crash lifecycle on its own
+// kernel and schedules the crashes. The periodic checkpoint chains stop
+// at a statically computed horizon (end of the last scheduled outage).
 func (s *PDESSystem) armDeviceFaults(cfg fault.Config) {
-	drain := fault.DefaultDrainCycles
-	rejoin := cfg.RejoinCycles
-	if rejoin <= 0 {
-		rejoin = fault.DefaultRejoinCycles
-	}
-	interval := cfg.CkptInterval
-	if interval <= 0 {
-		interval = fault.DefaultCkptInterval
-	}
-	// The periodic checkpoint chains stop at a statically computed
-	// horizon (end of the last scheduled outage) instead of a shared
-	// pending counter: a cross-kernel counter would race.
+	t := newCrashTiming(cfg)
 	var horizon sim.Cycles
 	for _, df := range cfg.DevCrashAt {
-		down := df.Down
-		if down <= 0 {
-			down = rejoin
-		}
-		if end := df.At + drain + down; end > horizon {
+		if end := df.At + t.drain + t.outage(df); end > horizon {
 			horizon = end
 		}
 	}
 	for _, pt := range s.ports {
 		pt := pt
-		k := pt.k()
-		pt.gate = sim.NewGate(k, fmt.Sprintf("dev%d.alive", pt.dev))
-		pt.gate.Open()
-		pt.log = ckpt.NewLog()
-		pt.chip.SetLifecycleGate(pt.gate)
-		pt.chip.SetWriteObserver(func(tile, off int, data []byte) {
-			pt.log.Note(tile, off, data)
+		pt.life = newDevLifecycle(pt.k(), pt.chip, t, lifecycleHooks{
+			// The injector's ledger names, emitted directly: the pdes fault
+			// path has no Injector instance, but the vscctrace recovery
+			// table keys on these counters.
+			injected:  func(kind string) { pt.life.count("fault.inject."+kind, 1) },
+			recovered: func() { pt.life.count("fault.recover.rejoin", 1) },
+			// Device-side copies of published ranges die with the device.
+			down:    func() { clear(pt.stream) },
+			replay:  pt.replayHeld,
+			horizon: horizon,
 		})
-		// Checkpoint zero: the boot image (see newMembership).
-		pt.log.Checkpoint(pt.chip.SnapshotLMB())
-		var tick func()
-		tick = func() {
-			pt.checkpoint()
-			if k.Now()+interval <= horizon+interval {
-				k.After(interval, tick)
-			}
-		}
-		if horizon > 0 {
-			k.After(interval, tick)
-		}
 	}
 	for _, df := range cfg.DevCrashAt {
-		df := df
 		if df.Dev < 0 || df.Dev >= len(s.ports) {
 			continue
 		}
-		pt := s.ports[df.Dev]
-		down := df.Down
-		if down <= 0 {
-			down = rejoin
-		}
-		pt.k().At(df.At, func() { pt.fail(drain, down) })
+		life, down := s.ports[df.Dev].life, t.outage(df)
+		life.k.At(df.At, func() { life.fail(down, true) })
 	}
 }
 
-// checkpoint takes one periodic snapshot of an up device.
-func (pt *pdesPort) checkpoint() {
-	if pt.state != DevUp || pt.log == nil {
-		return
-	}
-	banks := pt.chip.SnapshotLMB()
-	pt.log.Checkpoint(banks)
-	total := 0
-	for _, b := range banks {
-		total += len(b)
-	}
-	pt.count("ckpt.take", 1)
-	pt.count("ckpt.bytes", int64(total))
-}
-
-// fail starts the drain phase of one scheduled crash (mirrors
-// Membership.fail with wipe semantics).
-func (pt *pdesPort) fail(drain, down sim.Cycles) {
-	if pt.state != DevUp {
-		return // void fault: overlapping schedule
-	}
-	// The injector's ledger names, emitted directly: the pdes fault
-	// path has no Injector instance, but the vscctrace recovery table
-	// keys on these counters.
-	pt.count("fault.inject.devcrash", 1)
-	pt.state = DevDraining
-	pt.gate.Close()
-	pt.k().After(drain, func() { pt.goDown(down) })
-}
-
-// goDown completes the crash: epoch advance, crash-point image capture,
-// wipe, and every subsequent host delivery held.
-func (pt *pdesPort) goDown(downFor sim.Cycles) {
-	pt.state = DevDown
-	pt.epoch++
-	pt.count("epoch.advance", 1)
-	pt.img, pt.imgWrites, pt.imgBytes = pt.log.Restore()
-	pt.chip.WipeLMB()
-	// Device-side copies of published ranges die with the device.
-	for key := range pt.stream {
-		delete(pt.stream, key)
-	}
-	pt.k().After(downFor, func() { pt.rejoin() })
-}
-
-// rejoin restores the crash-point image, replays held deliveries in
-// arrival order, and reopens the lifecycle gate.
-func (pt *pdesPort) rejoin() {
-	pt.state = DevRejoining
-	pt.chip.LoadLMB(pt.img)
-	pt.count("replay.writes", int64(pt.imgWrites))
-	pt.count("replay.bytes", int64(pt.imgBytes))
-	pt.img = nil
-	// Rebase the journal on the restored image (second-crash safety).
-	pt.log.Checkpoint(pt.chip.SnapshotLMB())
+// replayHeld applies the deliveries held while the device was down, in
+// arrival order.
+func (pt *pdesPort) replayHeld() {
 	held := pt.held
 	pt.held = nil
-	pt.state = DevUp
-	frames, bytes := 0, 0
+	bytes := 0
 	for _, h := range held {
 		h.fn()
-		frames++
 		bytes += h.bytes
 	}
-	pt.count("replay.frames", int64(frames))
-	pt.count("replay.frame_bytes", int64(bytes))
-	pt.gate.Open()
-	pt.count("fault.recover.rejoin", 1)
+	pt.life.count("replay.frames", int64(len(held)))
+	pt.life.count("replay.frame_bytes", int64(bytes))
 }
 
 // --- host/PCIe kernel ----------------------------------------------------
@@ -649,9 +473,26 @@ type pdesHost struct {
 
 func (e *pdesHost) sink() *trace.Sink { return e.sys.sinks[e.idx] }
 
-// post sends fn to device dev's kernel, arriving at cycle at.
-func (e *pdesHost) post(at sim.Cycles, dev int, fn func()) {
-	e.sys.PDES.Post(e.idx, at, dev, fn)
+// send posts fn to device dev's kernel over its host-to-device link,
+// n bytes leaving once the host is free at from.
+func (e *pdesHost) send(from sim.Cycles, dev, n int, fn func()) {
+	_, arrive := e.h2d[dev].reserve(from, n)
+	e.sys.PDES.Post(e.idx, arrive, dev, fn)
+}
+
+// fetch reads n bytes at (tile, off) of device dev's MPB for the host:
+// the request leaves once the host is free at from, the read waits out
+// a device outage, and then runs on the host kernel with the data and
+// the completion time of the host operation that receives it.
+func (e *pdesHost) fetch(from sim.Cycles, dev, tile, off, n int, then func(data []byte, done sim.Cycles)) {
+	pt := e.sys.ports[dev]
+	e.send(from, dev, pdesReqBytes, func() {
+		pt.deliver(n, func() {
+			data := make([]byte, n)
+			pt.chip.HostReadLMB(tile, off, data)
+			pt.reply(n, func() { then(data, e.op()) })
+		})
+	})
 }
 
 // op serializes one host operation: it starts when the host is free
@@ -668,31 +509,27 @@ func (e *pdesHost) op() sim.Cycles {
 }
 
 // write handles one device store: apply it at the destination device
-// and acknowledge per policy.
-func (e *pdesHost) write(srcDev, dev, tile, off int, data [mem.LineSize]byte, mask uint32, pol ackPolicy, wake func()) {
+// and wake the writer on the host's receipt (hostWake) or once the line
+// is applied remotely (remoteWake); both are nil for an unacknowledged
+// store.
+func (e *pdesHost) write(srcDev, dev, tile, off int, data [mem.LineSize]byte, mask uint32, hostWake, remoteWake func()) {
 	done := e.op()
 	dst := e.sys.ports[dev]
-	if pol == ackHost && wake != nil {
+	if hostWake != nil {
 		// Host receipt: acknowledged as soon as the host has the line,
 		// concurrently with the forward delivery.
-		_, arrive := e.h2d[srcDev].reserve(done, pdesAckBytes)
-		e.post(arrive, srcDev, wake)
-		wake = nil
+		e.send(done, srcDev, pdesAckBytes, hostWake)
 	}
-	_, arrive := e.h2d[dev].reserve(done, mem.LineSize)
-	remoteWake := wake // non-nil only for ackRemote
-	e.post(arrive, dev, func() {
+	e.send(done, dev, mem.LineSize, func() {
 		dst.deliver(int(mem.LineSize), func() {
-			dst.applyMasked(tile, off, data, mask)
+			// The valid runs land through the chip's host write path
+			// (journaled, flag waiters woken).
+			mem.MaskedRuns(data[:], mask, func(i int, run []byte) {
+				dst.chip.HostWriteLMB(tile, off+i, run)
+			})
 			if remoteWake != nil {
 				// Remote acknowledgement: back across both links.
-				ackDone, ackArrive := dst.d2h.reserve(dst.k().Now(), pdesAckBytes)
-				_ = ackDone
-				dst.post(ackArrive, func() {
-					done := e.op()
-					_, a := e.h2d[srcDev].reserve(done, pdesAckBytes)
-					e.post(a, srcDev, remoteWake)
-				})
+				dst.reply(pdesAckBytes, func() { e.send(e.op(), srcDev, pdesAckBytes, remoteWake) })
 			}
 		})
 	})
@@ -709,9 +546,8 @@ func (e *pdesHost) read(srcDev, dev, tile, off, n int, wake func([]byte)) {
 		c.readers[srcDev] = true
 		data := c.data
 		cOff := c.off
-		_, arrive := e.h2d[srcDev].reserve(done, len(data))
 		rd := e.sys.ports[srcDev]
-		e.post(arrive, srcDev, func() {
+		e.send(done, srcDev, len(data), func() {
 			rd.installStream(dev, tile, cOff, data)
 			resp := make([]byte, n)
 			copy(resp, data[off-cOff:])
@@ -721,19 +557,8 @@ func (e *pdesHost) read(srcDev, dev, tile, off, n int, wake func([]byte)) {
 	}
 	// Transparent forward to the owning device (4 hops).
 	e.sink().Add("pdes.cache.forwards", 1)
-	owner := e.sys.ports[dev]
-	_, arrive := e.h2d[dev].reserve(done, pdesReqBytes)
-	e.post(arrive, dev, func() {
-		owner.deliver(n, func() {
-			data := make([]byte, n)
-			owner.chip.HostReadLMB(tile, off, data)
-			_, respArrive := owner.d2h.reserve(owner.k().Now(), n)
-			owner.post(respArrive, func() {
-				done := e.op()
-				_, a := e.h2d[srcDev].reserve(done, n)
-				e.post(a, srcDev, func() { wake(data) })
-			})
-		})
+	e.fetch(done, dev, tile, off, n, func(data []byte, done sim.Cycles) {
+		e.send(done, srcDev, n, func() { wake(data) })
 	})
 }
 
@@ -769,8 +594,7 @@ func (e *pdesHost) mmioRead(srcDev, hostDev, off, n int, wake func([]byte)) {
 	bank := e.banks[hostDev].Read(off / host.BankBytes)
 	resp := make([]byte, n)
 	copy(resp, bank[off%host.BankBytes:])
-	_, arrive := e.h2d[srcDev].reserve(done, n)
-	e.post(arrive, srcDev, func() { wake(resp) })
+	e.send(done, srcDev, n, func() { wake(resp) })
 }
 
 // update executes CmdUpdate: fetch the published range of the
@@ -779,27 +603,15 @@ func (e *pdesHost) mmioRead(srcDev, hostDev, off, n int, wake func([]byte)) {
 func (e *pdesHost) update(cmd host.BankCommand, done sim.Cycles) {
 	dev := cmd.SrcDev
 	tile := scc.CoreTile(cmd.SrcCore)
-	src := e.sys.ports[dev]
-	_, arrive := e.h2d[dev].reserve(done, pdesReqBytes)
-	e.post(arrive, dev, func() {
-		src.deliver(cmd.Count, func() {
-			data := make([]byte, cmd.Count)
-			src.chip.HostReadLMB(tile, cmd.SrcOff, data)
-			_, respArrive := src.d2h.reserve(src.k().Now(), cmd.Count)
-			src.post(respArrive, func() {
-				e.op()
-				key := pdesCacheKey{dev, tile, cmd.SrcOff / mem.CoreLMBSize}
-				c := e.cache[key]
-				if c == nil {
-					c = &pdesHostCopy{readers: make([]bool, len(e.sys.Chips))}
-					e.cache[key] = c
-				}
-				c.off, c.n, c.data, c.valid = cmd.SrcOff, cmd.Count, data, true
-				for i := range c.readers {
-					c.readers[i] = false
-				}
-			})
-		})
+	e.fetch(done, dev, tile, cmd.SrcOff, cmd.Count, func(data []byte, _ sim.Cycles) {
+		key := pdesCacheKey{dev, tile, cmd.SrcOff / mem.CoreLMBSize}
+		c := e.cache[key]
+		if c == nil {
+			c = &pdesHostCopy{readers: make([]bool, len(e.sys.Chips))}
+			e.cache[key] = c
+		}
+		c.off, c.n, c.data, c.valid = cmd.SrcOff, cmd.Count, data, true
+		clear(c.readers)
 	})
 }
 
@@ -826,8 +638,7 @@ func (e *pdesHost) invalidate(cmd host.BankCommand, done sim.Cycles) {
 		}
 		c.readers[rd] = false
 		pt := e.sys.ports[rd]
-		_, arrive := e.h2d[rd].reserve(done, pdesAckBytes)
-		e.post(arrive, rd, func() { pt.dropStream(dev, tile, half) })
+		e.send(done, rd, pdesAckBytes, func() { pt.dropStream(dev, tile, half) })
 	}
 }
 
@@ -839,34 +650,22 @@ func (e *pdesHost) vdmaCopy(cmd host.BankCommand, done sim.Cycles) {
 	e.sink().Add("pdes.vdma.copies", 1)
 	srcDev := cmd.SrcDev
 	srcTile := scc.CoreTile(cmd.SrcCore)
-	src := e.sys.ports[srcDev]
+	src, dst := e.sys.ports[srcDev], e.sys.ports[cmd.DstDev]
 	setup := done + e.sys.params.DMASetupCycles
-	_, arrive := e.h2d[srcDev].reserve(setup, pdesReqBytes)
-	e.post(arrive, srcDev, func() {
-		src.deliver(cmd.Count, func() {
-			data := make([]byte, cmd.Count)
-			src.chip.HostReadLMB(srcTile, cmd.SrcOff, data)
-			_, respArrive := src.d2h.reserve(src.k().Now(), cmd.Count)
-			src.post(respArrive, func() {
-				done := e.op()
-				if cmd.Flags&host.FlagCompletion != 0 {
-					_, ca := e.h2d[srcDev].reserve(done, pdesAckBytes)
-					e.post(ca, srcDev, func() {
-						src.deliver(1, func() {
-							src.chip.HostWriteLMB(srcTile, cmd.ComplOff, []byte{cmd.ComplVal})
-						})
-					})
-				}
-				dst := e.sys.ports[cmd.DstDev]
-				_, da := e.h2d[cmd.DstDev].reserve(done, cmd.Count)
-				e.post(da, cmd.DstDev, func() {
-					dst.deliver(cmd.Count, func() {
-						dst.chip.HostWriteLMB(cmd.DstTile, cmd.DstOff, data)
-						if cmd.Flags&host.FlagNotifyDest != 0 {
-							dst.chip.HostWriteLMB(cmd.DstTile, cmd.NotifyOff, []byte{cmd.NotifyVal})
-						}
-					})
+	e.fetch(setup, srcDev, srcTile, cmd.SrcOff, cmd.Count, func(data []byte, done sim.Cycles) {
+		if cmd.Flags&host.FlagCompletion != 0 {
+			e.send(done, srcDev, pdesAckBytes, func() {
+				src.deliver(1, func() {
+					src.chip.HostWriteLMB(srcTile, cmd.ComplOff, []byte{cmd.ComplVal})
 				})
+			})
+		}
+		e.send(done, cmd.DstDev, cmd.Count, func() {
+			dst.deliver(cmd.Count, func() {
+				dst.chip.HostWriteLMB(cmd.DstTile, cmd.DstOff, data)
+				if cmd.Flags&host.FlagNotifyDest != 0 {
+					dst.chip.HostWriteLMB(cmd.DstTile, cmd.NotifyOff, []byte{cmd.NotifyVal})
+				}
 			})
 		})
 	})

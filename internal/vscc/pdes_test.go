@@ -145,12 +145,12 @@ func runPDESWorkload(t *testing.T, scheme Scheme, faults *fault.Config, workers 
 	}
 	var ck bytes.Buffer
 	for d, pt := range sys.ports {
-		if pt.log == nil {
+		if pt.life == nil {
 			continue
 		}
-		n, bytes := pt.log.Checkpoints()
-		w, wb := pt.log.TailLen()
-		fmt.Fprintf(&ck, "d%d: ckpts=%d bytes=%d tail=%d/%d epoch=%d state=%v\n", d, n, bytes, w, wb, pt.epoch, pt.state)
+		n, bytes := pt.life.log.Checkpoints()
+		w, wb := pt.life.log.TailLen()
+		fmt.Fprintf(&ck, "d%d: ckpts=%d bytes=%d tail=%d/%d epoch=%d state=%v\n", d, n, bytes, w, wb, pt.life.epoch, pt.life.state)
 	}
 	return pdesFingerprint{
 		chrome:  chrome.String(),

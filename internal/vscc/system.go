@@ -199,25 +199,42 @@ type System struct {
 	Membership *Membership
 }
 
-// NewSystem assembles a vSCC.
-func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
+// params validates cfg and returns its chip, fabric and host
+// parameters, defaulted where left nil.
+func (cfg Config) params() (scc.Params, pcie.Params, host.Params, error) {
+	chip, fabric, hst := scc.DefaultParams(), pcie.DefaultParams(), host.DefaultParams()
 	if cfg.Devices <= 0 {
-		return nil, fmt.Errorf("vscc: %d devices", cfg.Devices)
+		return chip, fabric, hst, fmt.Errorf("vscc: %d devices", cfg.Devices)
 	}
 	if cfg.Scheme == SchemeHWAccel && cfg.Devices > 2 {
-		return nil, fmt.Errorf("vscc: the hardware-accelerated scheme is unstable beyond 2 devices (§2.3); got %d", cfg.Devices)
+		return chip, fabric, hst, fmt.Errorf("vscc: the hardware-accelerated scheme is unstable beyond 2 devices (§2.3); got %d", cfg.Devices)
 	}
-	chipParams := scc.DefaultParams()
 	if cfg.ChipParams != nil {
-		chipParams = *cfg.ChipParams
+		chip = *cfg.ChipParams
 	}
-	fabricParams := pcie.DefaultParams()
 	if cfg.FabricParams != nil {
-		fabricParams = *cfg.FabricParams
+		fabric = *cfg.FabricParams
 	}
-	hostParams := host.DefaultParams()
 	if cfg.HostParams != nil {
-		hostParams = *cfg.HostParams
+		hst = *cfg.HostParams
+	}
+	return chip, fabric, hst, nil
+}
+
+// newChip builds device d with its configured failed cores.
+func (cfg Config) newChip(k *sim.Kernel, d int, params scc.Params) *scc.Chip {
+	chip := scc.NewChip(k, d, params)
+	for _, core := range cfg.FailedCores[d] {
+		chip.SetAlive(core, false)
+	}
+	return chip
+}
+
+// NewSystem assembles a vSCC.
+func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
+	chipParams, fabricParams, hostParams, err := cfg.params()
+	if err != nil {
+		return nil, err
 	}
 	var chips []*scc.Chip
 	var checker *scc.Checker
@@ -225,10 +242,7 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		checker = scc.NewChecker()
 	}
 	for d := 0; d < cfg.Devices; d++ {
-		chip := scc.NewChip(k, d, chipParams)
-		for _, core := range cfg.FailedCores[d] {
-			chip.SetAlive(core, false)
-		}
+		chip := cfg.newChip(k, d, chipParams)
 		if checker != nil {
 			chip.EnableConsistencyCheck(checker)
 		}
@@ -324,39 +338,68 @@ func (s *System) NewTenantSession(places []rcce.Place, scheme Scheme, opts ...rc
 }
 
 func (s *System) newSessionAt(places []rcce.Place, scheme Scheme, opts ...rcce.Option) (*rcce.Session, error) {
-	base := s.Config.OnChipProtocol
-	if base == nil {
-		base = rcce.DefaultProtocol{}
+	proto, err := s.Config.protocol(scheme, len(places))
+	if err != nil {
+		return nil, err
 	}
-	threshold := s.Config.DirectThreshold
-	if threshold == 0 {
-		threshold = scheme.DirectThreshold()
-	}
-	slot := s.Config.VDMASlotBytes
-	if slot > rcce.PayloadBytes/2 {
-		return nil, fmt.Errorf("vscc: vDMA slot %d exceeds half the payload area (%d)", slot, rcce.PayloadBytes/2)
-	}
-	proto := &interDeviceProtocol{
-		base:      base,
-		scheme:    scheme,
-		threshold: threshold,
-		slot:      slot,
-		seqs:      make([]pairSeq, len(places)*len(places)),
-		nRanks:    len(places),
-		published: make([]int, len(places)),
-		faults:    s.Injector,
-		rec:       s.Injector.Recovery(),
-		mem:       s.Membership,
-	}
+	proto.faults = s.Injector
+	proto.rec = s.Injector.Recovery()
+	proto.mem = s.Membership
 	opts = append([]rcce.Option{rcce.WithProtocol(proto)}, opts...)
 	session, err := rcce.NewSession(s.Kernel, s.Chips, places, opts...)
 	if err != nil {
+		return nil, err
+	}
+	if err := mapRemoteLUTs(s.Chips, places); err != nil {
 		return nil, err
 	}
 	if err := s.registerRegions(places, scheme.regionMode()); err != nil {
 		return nil, err
 	}
 	return session, nil
+}
+
+// protocol builds the inter-device wire protocol of a session of n
+// ranks running scheme.
+func (cfg Config) protocol(scheme Scheme, n int) (*interDeviceProtocol, error) {
+	base := cfg.OnChipProtocol
+	if base == nil {
+		base = rcce.DefaultProtocol{}
+	}
+	threshold := cfg.DirectThreshold
+	if threshold == 0 {
+		threshold = scheme.DirectThreshold()
+	}
+	if cfg.VDMASlotBytes > rcce.PayloadBytes/2 {
+		return nil, fmt.Errorf("vscc: vDMA slot %d exceeds half the payload area (%d)", cfg.VDMASlotBytes, rcce.PayloadBytes/2)
+	}
+	return &interDeviceProtocol{
+		base:      base,
+		scheme:    scheme,
+		threshold: threshold,
+		slot:      cfg.VDMASlotBytes,
+		seqs:      make([]pairSeq, n*n),
+		nRanks:    n,
+		published: make([]int, n),
+	}, nil
+}
+
+// mapRemoteLUTs installs the boot-time LUT mappings of every other
+// device's on-chip memory at each placement's core — the paper's §2.1
+// hardware-abstraction-layer extension.
+func mapRemoteLUTs(chips []*scc.Chip, places []rcce.Place) error {
+	for _, pl := range places {
+		lut := chips[pl.Dev].Cores[pl.Core].LUT
+		for d := range chips {
+			if d == pl.Dev {
+				continue
+			}
+			if err := lut.MapRemoteDevice(d); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // ReleaseRegions tears down the host-task registration of a session's
@@ -373,21 +416,8 @@ func (s *System) ReleaseRegions(places []rcce.Place) {
 }
 
 // registerRegions performs the boot-time registration of every rank's
-// communication buffer and flag area with the communication task, and
-// installs the LUT mappings of remote on-chip memory — the paper's §2.1
-// hardware-abstraction-layer extension.
+// communication buffer and flag area with the communication task.
 func (s *System) registerRegions(places []rcce.Place, mode host.Mode) error {
-	for _, pl := range places {
-		lut := s.Chips[pl.Dev].Cores[pl.Core].LUT
-		for d := range s.Chips {
-			if d == pl.Dev {
-				continue
-			}
-			if err := lut.MapRemoteDevice(d); err != nil {
-				return err
-			}
-		}
-	}
 	for _, pl := range places {
 		tile := scc.CoreTile(pl.Core)
 		base := scc.CoreLMBOffset(pl.Core)
