@@ -140,4 +140,7 @@ func TestRulesFlag(t *testing.T) {
 			t.Errorf("-rules output misses %s:\n%s", rule, out.String())
 		}
 	}
+	if !strings.Contains(out.String(), "iter.Pull") {
+		t.Errorf("-rules output does not list iter.Pull coroutines under kernelclock:\n%s", out.String())
+	}
 }

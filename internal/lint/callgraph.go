@@ -405,6 +405,10 @@ func (g *CallGraph) directClockUse(fi *FuncInfo) *clockWitness {
 					}
 				case "math/rand", "math/rand/v2":
 					w = &clockWitness{What: "math/rand." + n.Sel.Name}
+				case "iter":
+					if coroutineFuncs[n.Sel.Name] && !sanctioned {
+						w = &clockWitness{What: "iter." + n.Sel.Name, Concurrency: true}
+					}
 				}
 			}
 		case *ast.GoStmt:

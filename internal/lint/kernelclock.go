@@ -9,15 +9,17 @@ import (
 // randomness and raw Go concurrency inside the model packages. The
 // simulation contract (DESIGN.md §6, PR 1–2) is that every cycle of
 // simulated time and every interleaving decision flows through the
-// deterministic kernel in internal/sim: a single time.Now, goroutine or
-// channel in a model package breaks byte-identical parallel sweeps.
+// deterministic kernel in internal/sim: a single time.Now, goroutine,
+// channel or coroutine (iter.Pull, iter.Pull2) in a model package breaks
+// byte-identical parallel sweeps.
 // Importing package time at all is a finding in a model package — even
 // time.Time/Duration as plain data invites wall-clock coupling, and no
 // model code needs it.
 //
 // internal/sim itself — the sanctioned channel — is audited in a
 // relaxed mode: the PDES engine legitimately runs worker goroutines
-// with sync and channels, but the wall clock and math/rand stay
+// with sync and channels, and every process on an iter.Pull coroutine,
+// but the wall clock and math/rand stay
 // forbidden there too, so sub-kernel code cannot smuggle real time in
 // through the engine.
 //
@@ -39,7 +41,7 @@ import (
 func KernelClockAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "kernelclock",
-		Doc:  "model packages take time and concurrency from internal/sim only; the engine itself never takes the wall clock",
+		Doc:  "model packages take time and concurrency (goroutines, channels, select, iter.Pull coroutines) from internal/sim only; the engine itself never takes the wall clock",
 		Applies: func(p string) bool {
 			return pkgPathIn(p, modelPackages...) || pkgPathIn(p, enginePackages...)
 		},
@@ -55,6 +57,10 @@ var forbiddenTimeFuncs = map[string]bool{
 	"Tick": true, "NewTimer": true, "NewTicker": true,
 	"Since": true, "Until": true,
 }
+
+// coroutineFuncs are the entry points of package iter that start a
+// coroutine: raw concurrency, like a go statement.
+var coroutineFuncs = map[string]bool{"Pull": true, "Pull2": true}
 
 func runKernelClock(pass *Pass) {
 	engine := pkgPathIn(pass.Pkg.Path, enginePackages...)
@@ -84,6 +90,8 @@ func runKernelClock(pass *Pass) {
 			case *ast.SelectorExpr:
 				if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] == "time" && forbiddenTimeFuncs[n.Sel.Name] {
 					pass.Reportf(n.Pos(), "time.%s: simulated time is the kernel clock (sim.Proc.Delay / Kernel.Now), never the wall clock", n.Sel.Name)
+				} else if ok && imports[id.Name] == "iter" && coroutineFuncs[n.Sel.Name] && !engine {
+					pass.Reportf(n.Pos(), "iter.%s in a model package: a coroutine is raw concurrency; spawn simulated processes with sim.Kernel.Spawn, which runs each on the engine's own coroutine", n.Sel.Name)
 				}
 			case *ast.CallExpr:
 				checkTransitiveClock(pass, imports, n)

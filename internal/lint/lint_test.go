@@ -19,6 +19,7 @@ func TestAnalyzersGolden(t *testing.T) {
 	}{
 		{KernelClockAnalyzer(), "kernelclock", "vscc/internal/noc", nil},
 		{KernelClockAnalyzer(), "kernelclock_engine", "vscc/internal/sim", nil},
+		{KernelClockAnalyzer(), "kernelclock_coro", "vscc/internal/noc", nil},
 		{KernelClockAnalyzer(), "kernelclock_ipa", "vscc/internal/noc", []FixtureDep{
 			{filepath.Join("testdata", "src", "kernelclock_ipa_util"), "vscc/internal/util"},
 		}},

@@ -1,11 +1,12 @@
 // Fixture for the kernelclock rule in its engine mode (internal/sim):
 // the PDES workers' real concurrency is the sanctioned channel, so
-// sync, channels, goroutines and select pass — but the wall clock and
+// sync, channels, goroutines, select and coroutines pass — but the wall clock and
 // process-global randomness stay banned even here, so sub-kernel code
 // cannot smuggle real time in through the engine.
 package kernelclock_engine
 
 import (
+	"iter"
 	"math/rand" // want "import of math/rand"
 	"sync"
 	"time" // want "import of time in the simulation engine"
@@ -24,6 +25,11 @@ func workers() {
 	case v := <-done:
 		_ = v
 	}
+}
+
+func coroutine(seq iter.Seq[struct{}]) {
+	next, _ := iter.Pull(seq) // ok: the kernel runs every process on a coroutine
+	next()
 }
 
 func wallClock() {

@@ -18,6 +18,10 @@ func badFanOut() {
 	util.FanOut(func() {}) // want "call reaches raw concurrency .goroutine. outside the engine: util.FanOut"
 }
 
+func badCoroutine() {
+	util.Drain(nil) // want "call reaches raw concurrency .iter.Pull. outside the engine: util.Drain"
+}
+
 func cleanHelper() int {
 	return util.Pure(1, 2)
 }

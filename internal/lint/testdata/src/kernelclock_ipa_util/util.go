@@ -4,7 +4,10 @@
 // model-package call sites that reach them.
 package util
 
-import "time"
+import (
+	"iter"
+	"time"
+)
 
 // SlowStamp reads the wall clock directly.
 func SlowStamp() int64 { return time.Now().UnixNano() }
@@ -17,6 +20,14 @@ func Stamp2() int64 { return stampIndirect() }
 
 // FanOut spawns a raw goroutine.
 func FanOut(f func()) { go f() }
+
+// Drain runs seq on a coroutine.
+func Drain(seq iter.Seq[int]) {
+	next, stop := iter.Pull(seq)
+	defer stop()
+	for _, ok := next(); ok; _, ok = next() {
+	}
+}
 
 // Pure is effect-free.
 func Pure(a, b int) int { return a + b }

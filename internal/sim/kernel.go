@@ -1,12 +1,15 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel drives a set of processes — goroutines that model simulated
-// agents such as processor cores, host daemon threads or DMA engines.
-// Exactly one process executes at any instant; a process runs until it
-// yields by advancing the simulated clock (Delay), blocking on a Cond, or
-// finishing. Events scheduled for the same cycle are executed in the order
-// they were scheduled, so a simulation run is fully deterministic and
-// repeatable regardless of Go scheduler behaviour.
+// The kernel drives a set of processes that model simulated agents such
+// as processor cores, host daemon threads or DMA engines. Each process
+// runs on a goroutine-backed coroutine (iter.Pull, see coro.go): the run
+// loop resumes it, and it runs until it hands control back by advancing
+// the simulated clock (Delay), blocking on a Cond, or finishing. A switch
+// is a direct coroutine transfer, not a trip through the Go scheduler,
+// and exactly one process executes at any instant. Events scheduled for
+// the same cycle are executed in the order they were scheduled, so a
+// simulation run is fully deterministic and repeatable regardless of Go
+// scheduler behaviour.
 //
 // Time is measured in Cycles. The interpretation of a cycle is up to the
 // user; the vSCC model uses core clock cycles of the 533 MHz P54C cores.
@@ -23,7 +26,7 @@
 // Same-cycle events take a second fast path: events scheduled for the
 // current instant (condition-variable wakeups, zero-latency forwarding
 // hops, Delay(0) yields) are appended to a FIFO bucket and dispatched
-// without touchinging the heap at all. Sequence numbers are assigned
+// without touching the heap at all. Sequence numbers are assigned
 // monotonically, so plain FIFO order over the bucket is exactly
 // (time, sequence) order and determinism is preserved bit-for-bit.
 package sim
@@ -31,6 +34,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 )
 
@@ -167,27 +171,26 @@ type Kernel struct {
 	cancelled  map[uint64]struct{}
 	nCancelled int
 
-	// yield is the single token-return channel: whichever goroutine
-	// holds the execution token (a process, or the run loop itself)
-	// hands it back here when it cannot pass it directly to the next
-	// runnable process (see yieldTo). One channel instead of waiting on
-	// the dispatched process's own channel is what makes direct
-	// process-to-process handoff possible: the run loop does not care
-	// *who* returns the token, only that exactly one holder exists.
-	yield chan struct{}
-
 	// running/bounded/limit mirror the active run loop's state so the
-	// same-cycle and delay fast paths (Proc.Delay, yieldTo) can decide
-	// inline whether an event may be dispatched without handing the
-	// token back to the run loop.
+	// delay fast path (Proc.Delay) can decide inline whether its own
+	// wakeup may be consumed without handing control back to the run
+	// loop.
 	running bool
 	bounded bool
 	limit   Cycles
+
+	// resumes counts process resumes since the run loop last gave up
+	// its thread (see dispatch).
+	resumes int
 }
+
+// yieldEvery is how many process resumes the run loop makes between
+// calls to runtime.Gosched.
+const yieldEvery = 256
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current simulated time.
@@ -226,12 +229,9 @@ type Proc struct {
 	state procState
 	body  func(*Proc)
 
-	// run is the single handoff channel for this process: the kernel
-	// sends on it to hand the process the execution token, the process
-	// sends on it to hand the token back when it yields or finishes.
-	// Exactly one side is ever sending, because exactly one of
-	// {kernel, process} executes at any instant.
-	run chan struct{}
+	// co is the coroutine the process runs on, bound at its first
+	// dispatch and given back when it finishes.
+	co *coroutine
 
 	daemon bool
 
@@ -269,7 +269,7 @@ func (k *Kernel) SpawnAt(at Cycles, name string, body func(*Proc)) *Proc {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: SpawnAt(%d) in the past (now %d)", at, k.now))
 	}
-	p := &Proc{k: k, name: name, state: procNew, run: make(chan struct{}), body: body}
+	p := &Proc{k: k, name: name, state: procNew, body: body}
 	k.procs = append(k.procs, p)
 	k.live++
 	k.schedule(at, p, nil)
@@ -364,6 +364,12 @@ func (k *Kernel) schedule(at Cycles, p *Proc, fn func()) {
 // Run executes events until the queue empties, Stop is called, or no
 // runnable work remains. It returns an error if live processes remain
 // blocked when the queue drains (a deadlock) or if a process panicked.
+//
+// A process body that calls runtime.Goexit (t.FailNow inside a process,
+// for example) finishes that process and then exits the goroutine that
+// called Run, RunFor or RunUntil as well, through its deferred calls:
+// the process runs as a coroutine of that goroutine. The kernel is left
+// not running, but its run is cut short and must not be resumed.
 func (k *Kernel) Run() error {
 	if err := k.run(0, false); err != nil || k.stopped {
 		return err
@@ -454,22 +460,28 @@ func (k *Kernel) run(limit Cycles, bounded bool) error {
 	}
 }
 
-// dispatch hands the execution token to process p and waits for it to
-// yield or finish.
+// dispatch runs process p until it blocks or finishes, starting its
+// coroutine on the first dispatch.
 func (k *Kernel) dispatch(p *Proc) error {
 	switch p.state {
 	case procDone:
 		return nil // stale wakeup for a finished process
 	case procNew:
-		p.state = procRunning
-		go k.runBody(p)
+		startCoroutine(p)
 	case procBlocked, procRunnable:
-		p.state = procRunning
-		p.run <- struct{}{}
 	default:
 		panic("sim: resuming a process in state " + p.state.String())
 	}
-	<-k.yield
+	p.state = procRunning
+	p.resume()
+	// A coroutine switch never enters the Go scheduler. At GOMAXPROCS=1
+	// the GC's background mark worker would then wait for sysmon to
+	// preempt the run loop, and the heap would grow while it waits.
+	// Yielding the thread now and then gives the worker its turn.
+	if k.resumes++; k.resumes == yieldEvery {
+		k.resumes = 0
+		runtime.Gosched()
+	}
 	if len(k.panics) > 0 {
 		return k.panics[0]
 	}
@@ -489,36 +501,9 @@ func (k *Kernel) runBody(p *Proc) {
 		if !p.daemon {
 			k.live--
 		}
-		// A finishing process always returns the token to the run loop —
-		// never a direct handoff — so panics surface immediately.
-		k.yield <- struct{}{}
 	}()
 	p.checkKill() // killed before its first dispatch: abort without running
 	p.body(p)
-}
-
-// yieldTo releases the execution token held by the current process.
-// When the next due event is a same-cycle resume of another process, the
-// token is handed to that process directly, skipping the round trip
-// through the run loop (two channel operations and a goroutine wakeup).
-// The dispatch order is exactly what the run loop would have produced:
-// the bucket is popped in (time, seq) order either way. Everything else
-// — callbacks (which must run on the kernel goroutine), new processes,
-// stale wakeups, pending cancellations, Stop — bails out to the run
-// loop.
-func (k *Kernel) yieldTo() {
-	if !k.stopped && k.nCancelled == 0 && k.head < len(k.bucket) {
-		e := k.bucket[k.head]
-		if e.p != nil && e.p.state == procRunnable {
-			k.bucket[k.head] = event{} // release fn/p for the GC
-			k.head++
-			k.dispatched++
-			e.p.state = procRunning
-			e.p.run <- struct{}{}
-			return
-		}
-	}
-	k.yield <- struct{}{}
 }
 
 // deadlockError builds a report naming every still-blocked process.
@@ -544,12 +529,12 @@ func (p *Proc) Delay(d Cycles) {
 	at := k.now + d
 	// Inline continuation fast path: when the process's own wakeup would
 	// be the very next event dispatched — no other same-cycle work is
-	// pending and nothing in the heap is due before at — the schedule,
-	// the two token handoffs and the goroutine round trip are all pure
-	// overhead. Bump the same counters the event would have consumed
-	// (seq for AfterCancel bookkeeping, dispatched for Events()) and
-	// keep running. The heap never holds events at the current time, so
-	// an empty bucket means nothing else can run before the wakeup.
+	// pending and nothing in the heap is due before at — the schedule
+	// and the coroutine switch out and back are pure overhead. Bump the
+	// same counters the event would have consumed (seq for AfterCancel
+	// bookkeeping, dispatched for Events()) and keep running. The heap
+	// never holds events at the current time, so an empty bucket means
+	// nothing else can run before the wakeup.
 	if k.running && !k.stopped && k.head == len(k.bucket) && (!k.bounded || at <= k.limit) {
 		if d == 0 {
 			k.seq++
@@ -566,8 +551,7 @@ func (p *Proc) Delay(d Cycles) {
 	p.state = procRunnable
 	p.blockReason = "delay"
 	k.schedule(at, p, nil)
-	k.yieldTo() // hand the token on
-	<-p.run     // wait for it again
+	p.co.yield(struct{}{})
 	p.checkKill()
 }
 
@@ -577,8 +561,7 @@ func (p *Proc) park(reason string) {
 	p.checkKill()
 	p.state = procBlocked
 	p.blockReason = reason
-	p.k.yieldTo()
-	<-p.run
+	p.co.yield(struct{}{})
 	p.checkKill()
 }
 
@@ -622,13 +605,13 @@ var errReleased = errors.New("sim: simulation released")
 
 // Release unwinds every process still parked in a simulation its owner
 // has finished with — host daemons waiting for work that never comes,
-// ranks stranded by a device crash — so their goroutines exit and the
-// simulation can be collected. Each one unwinds through its deferred
-// handlers as under Kill; a process that never started is dropped. The
-// clock and Events are left as they were. Call it only once every
-// output of the run has been read, since those handlers may still
-// touch results, and never while the kernel runs; the kernel must not
-// run again.
+// ranks stranded by a device crash — so their coroutines return to the
+// idle pool and the simulation can be collected. Each one unwinds
+// through its deferred handlers as under Kill; a process that never
+// started is dropped. The clock and Events are left as they were. Call
+// it only once every output of the run has been read, since those
+// handlers may still touch results, and never while the kernel runs;
+// the kernel must not run again.
 func (k *Kernel) Release() {
 	for _, p := range k.procs {
 		switch p.state {
@@ -637,8 +620,7 @@ func (k *Kernel) Release() {
 				p.killErr = errReleased
 			}
 			p.state = procRunning
-			p.run <- struct{}{}
-			<-k.yield
+			p.resume()
 		case procNew:
 			p.state = procDone
 		}

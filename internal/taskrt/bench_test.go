@@ -20,12 +20,18 @@ func BenchmarkTaskrtWorkloads(b *testing.B) {
 				if err := Build(rt, wl, 4, 8, 4); err != nil {
 					b.Fatal(err)
 				}
-				if err := rt.Run(newSession(b, 2, 4, vscc.SchemeVDMA)); err != nil {
+				session := newSession(b, 2, 4, vscc.SchemeVDMA)
+				if err := rt.Run(session); err != nil {
 					b.Fatal(err)
 				}
 				if rt.StateHash() == "" {
 					b.Fatal("empty hash")
 				}
+				// Unwind the parked daemons, or every iteration keeps
+				// its whole simulation alive until the process exits.
+				b.StopTimer()
+				session.Kernel.Release()
+				b.StartTimer()
 			}
 		})
 	}

@@ -7,17 +7,22 @@ import (
 
 	"vscc/internal/chaos"
 	"vscc/internal/harness"
+	"vscc/internal/sim"
 	"vscc/internal/vscc"
 )
 
-// settleGoroutines polls until the goroutine count is back at base: a
-// released process's goroutine exits just after its last handoff.
+// busyGoroutines counts goroutines other than the sim package's idle
+// process coroutines, which wait in a pool for the next process to
+// start and hold no simulation state.
+func busyGoroutines() int { return runtime.NumGoroutine() - sim.IdleCoroutines() }
+
+// settleGoroutines polls until the busy goroutine count is back at base.
 func settleGoroutines(t *testing.T, base int, what string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > base {
+	for busyGoroutines() > base {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines left behind (baseline %d)", what, runtime.NumGoroutine()-base, base)
+			t.Fatalf("%s: %d goroutines left behind (baseline %d)", what, busyGoroutines()-base, base)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -30,7 +35,7 @@ func settleGoroutines(t *testing.T, base int, what string) {
 // style points and a devcrash chaos point must each return the
 // goroutine count to its baseline.
 func TestReleaseReturnsGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := busyGoroutines()
 	for rep := 0; rep < 3; rep++ {
 		if _, err := harness.InterDevicePingPong(vscc.SchemeCachedGet, []int{1024, 8192}, 1); err != nil {
 			t.Fatal(err)
