@@ -18,16 +18,10 @@ import (
 func main() {
 	size := flag.Int("size", 65536, "message size for throughput ablations [B]")
 	reps := flag.Int("reps", 3, "round trips per measurement")
-	parallel := flag.Int("parallel", 0, "sweep points run concurrently (0 = GOMAXPROCS, 1 = serial)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the ping-pong ablations")
-	metrics := flag.Bool("metrics", false, "print a cycle-accurate metrics report per ablation point")
-	checkMode := flag.Bool("check", false, "run with the MPB consistency checker (panics on stale-line reads)")
-	faultSpec := flag.String("fault", "", "deterministic fault schedule, e.g. \"seed=7,drop=20,stall=1000000:200000\" (see internal/fault)")
+	run := harness.BindRunFlags(flag.CommandLine, "ablation point", "seed=7,drop=20,stall=1000000:200000", true)
 	flag.Parse()
-	harness.SetParallelism(*parallel)
-	harness.SetConsistencyCheck(*checkMode)
-	check(harness.SetFaultSpec(*faultSpec))
-	obs := harness.EnableObservability(*traceOut, *metrics)
+	obs, err := run.Apply()
+	check(err)
 
 	fmt.Println("== ablation: SIF prefetch streaming (LP/RG + cache) ==")
 	on, off, err := harness.AblateSIFStreaming(*size, *reps)

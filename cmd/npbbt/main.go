@@ -29,16 +29,12 @@ func main() {
 	countsFlag := flag.String("counts", "", "comma-separated rank counts (default: all squares up to -maxranks)")
 	best := flag.Bool("best", true, "run the optimal configuration (vDMA)")
 	worst := flag.Bool("worst", true, "run the worst configuration (transparent routing)")
-	parallel := flag.Int("parallel", 0, "rank counts run concurrently (0 = GOMAXPROCS, 1 = serial)")
-	pdes := flag.Int("pdes", 0, "run each point on the domain-decomposed engine with N workers (0 = classic single kernel; 1 = serial PDES identity reference)")
-	faultSpec := flag.String("fault", "", "deterministic fault schedule, e.g. \"seed=1,devcrash=400000:1:500000\" (see internal/fault; PDES supports device crashes only)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of every run")
-	metrics := flag.Bool("metrics", false, "print a cycle-accurate metrics report per run")
+	pdes := flag.Int("pdes", 0, "run each point on the domain-decomposed engine with N workers (0 = classic single kernel; 1 = serial PDES identity reference; -fault supports device crashes only)")
+	run := harness.BindRunFlags(flag.CommandLine, "rank count", "seed=1,devcrash=400000:1:500000", false)
 	flag.Parse()
-	harness.SetParallelism(*parallel)
 	harness.SetPDES(*pdes)
-	check(harness.SetFaultSpec(*faultSpec))
-	obs := harness.EnableObservability(*traceOut, *metrics)
+	obs, err := run.Apply()
+	check(err)
 
 	class, err := npb.ClassByName(*className)
 	check(err)

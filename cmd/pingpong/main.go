@@ -35,17 +35,11 @@ func main() {
 	claims := flag.Bool("claims", false, "print the paper-vs-measured claims table")
 	timeline := flag.Bool("timeline", false, "render Fig. 2 style protocol timelines")
 	reps := flag.Int("reps", 3, "round trips per measurement")
-	parallel := flag.Int("parallel", 0, "sweep points run concurrently (0 = GOMAXPROCS, 1 = serial)")
 	sizesFlag := flag.String("sizes", "", "comma-separated message sizes [B] (default: the Fig. 6 sweep)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of every measured point")
-	metrics := flag.Bool("metrics", false, "print a cycle-accurate metrics report per measured point")
-	checkMode := flag.Bool("check", false, "run with the MPB consistency checker (panics on stale-line reads)")
-	faultSpec := flag.String("fault", "", "deterministic fault schedule, e.g. \"seed=7,drop=20,stall=1000000:200000\" (see internal/fault)")
+	run := harness.BindRunFlags(flag.CommandLine, "measured point", "seed=7,drop=20,stall=1000000:200000", true)
 	flag.Parse()
-	harness.SetParallelism(*parallel)
-	harness.SetConsistencyCheck(*checkMode)
-	check(harness.SetFaultSpec(*faultSpec))
-	obs := harness.EnableObservability(*traceOut, *metrics)
+	obs, err := run.Apply()
+	check(err)
 	if !*onchip && !*inter && !*claims && !*timeline {
 		*onchip, *inter = true, true
 	}

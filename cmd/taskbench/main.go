@@ -31,18 +31,11 @@ func main() {
 	size := flag.Int("size", 4, "decomposition: Cholesky tile grid, stencil strips, kv shards")
 	iters := flag.Int("iters", 8, "stencil sweeps / kv requests")
 	replicas := flag.Int("replicas", 1, "independent replicas per (workload, scheme) point")
-	parallel := flag.Int("parallel", 0, "replicas run concurrently (0 = GOMAXPROCS, 1 = serial)")
-	faultSpec := flag.String("fault", "", "deterministic fault schedule, e.g. \"seed=1,devcrash=150000:1:200000,ckpt=50000,devretry=1\" (see internal/fault)")
-	checkMPB := flag.Bool("check", false, "enable the MPB consistency checker")
 	graph := flag.String("graph", "", "run a task-spec file instead of a named workload")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of every replica")
-	metrics := flag.Bool("metrics", false, "print a cycle-accurate metrics report per replica")
+	run := harness.BindRunFlags(flag.CommandLine, "replica", "seed=1,devcrash=150000:1:200000,ckpt=50000,devretry=1", true)
 	flag.Parse()
-
-	harness.SetParallelism(*parallel)
-	harness.SetConsistencyCheck(*checkMPB)
-	check(harness.SetFaultSpec(*faultSpec))
-	obs := harness.EnableObservability(*traceOut, *metrics)
+	obs, err := run.Apply()
+	check(err)
 
 	if *graph != "" {
 		check(runGraph(*graph, *ranks))
@@ -89,9 +82,10 @@ func main() {
 	check(obs.Finish(os.Stdout))
 }
 
-// runGraph executes one task-spec file serially (the reference) and on
-// a simulated system per scheme given on -schemes... keeping it simple:
-// the spec runs on the vDMA scheme and prints the same point format.
+// runGraph executes one task-spec file on the serial reference executor
+// and prints its region and task counts and final state hash. No
+// simulated system runs, so -schemes, -parallel and -fault have no
+// effect.
 func runGraph(path string, ranks int) error {
 	src, err := os.ReadFile(path)
 	if err != nil {

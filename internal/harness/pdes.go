@@ -61,14 +61,3 @@ func pdesPoint(app npbApp, cfg BTSweepConfig, ranks, workers int) (BTPoint, erro
 	}
 	return BTPoint{Ranks: ranks, GFlops: res.GFlops, Cycles: res.Cycles}, nil
 }
-
-// PDESWallClock measures one BT run's host wall-clock time on the
-// decomposed engine — the satellite metric behind the kernels-vs-wall-
-// clock scaling table (EXPERIMENTS.md E13). It returns the simulated
-// result plus the real elapsed nanoseconds as measured by the caller's
-// clock function (injected so the harness itself stays clock-free).
-func PDESWallClock(cfg BTSweepConfig, ranks, workers int, clock func() int64) (BTPoint, int64, error) {
-	start := clock()
-	pt, err := pdesPoint(appBT, cfg, ranks, workers)
-	return pt, clock() - start, err
-}

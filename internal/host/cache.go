@@ -130,7 +130,7 @@ type sifBuffer struct {
 	gens   map[uint32]uint64
 	genAll uint64
 
-	hits, inserts, evictions, staleDiscards uint64
+	evictions uint64
 }
 
 func newSIFBuffer(k *sim.Kernel, dev, capLines int) *sifBuffer {
@@ -162,7 +162,6 @@ func (b *sifBuffer) insert(key uint64, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	b.lines[key] = cp
-	b.inserts++
 	b.cond.Broadcast()
 }
 
@@ -179,7 +178,6 @@ func (b *sifBuffer) take(key uint64) ([]byte, bool) {
 			break
 		}
 	}
-	b.hits++
 	return data, true
 }
 
@@ -188,7 +186,6 @@ func (b *sifBuffer) take(key uint64) ([]byte, bool) {
 // the floor (its reader falls back to the slow path).
 func (b *sifBuffer) insertIfFresh(gen uint64, dev, tile int, key uint64, data []byte) bool {
 	if gen != b.genOf(dev, tile) {
-		b.staleDiscards++
 		b.cond.Broadcast() // readers parked on this line must re-check
 		return false
 	}
@@ -234,9 +231,15 @@ type stream struct {
 	active  bool
 }
 
-type streamKey struct {
-	readerDev int
-	rg        *Region
+// activeStream returns the region's running stream toward readerDev, or
+// nil. A region runs at most one stream per reader.
+func (rg *Region) activeStream(readerDev int) *stream {
+	for _, st := range rg.streams {
+		if st.active && st.readerDev == readerDev {
+			return st
+		}
+	}
+	return nil
 }
 
 // hostWCB is the communication task's write-combining buffer for one
@@ -247,20 +250,10 @@ type hostWCB struct {
 	buf        []byte
 	dirty      []bool // per byte
 	dirtyBytes int
-	// pendingFlush counts in-flight flush bursts (for write fences).
-	pendingFlush int
-	cond         *sim.Cond
-
-	absorbed, flushed uint64
 }
 
-func newHostWCB(k *sim.Kernel, rg *Region) *hostWCB {
-	return &hostWCB{
-		rg:    rg,
-		buf:   make([]byte, rg.Len),
-		dirty: make([]bool, rg.Len),
-		cond:  sim.NewCond(k, fmt.Sprintf("hostwcb.d%d.t%d", rg.Dev, rg.Tile)),
-	}
+func newHostWCB(rg *Region) *hostWCB {
+	return &hostWCB{rg: rg, buf: make([]byte, rg.Len), dirty: make([]bool, rg.Len)}
 }
 
 // absorb merges a masked line write at absolute tile offset off.
@@ -275,7 +268,6 @@ func (w *hostWCB) absorb(off int, data []byte, mask uint32) {
 			w.dirtyBytes++
 		}
 		w.buf[base+i] = data[i]
-		w.absorbed++
 	}
 }
 
@@ -297,7 +289,6 @@ func (w *hostWCB) takeDirtySpans() []dirtySpan {
 		data := make([]byte, j-i)
 		copy(data, w.buf[i:j])
 		spans = append(spans, dirtySpan{off: w.rg.Off + i, data: data})
-		w.flushed += uint64(j - i)
 		i = j
 	}
 	w.dirtyBytes = 0

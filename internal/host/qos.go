@@ -7,20 +7,22 @@
 //     bandwidth a tenant injects, charged at every point where a
 //     tenant-attributable process crosses to the host (reads, writes,
 //     MMIO, vDMA bursts, prefetch/flush/stream DMA);
-//   - deficit-round-robin fair queueing replaces the plain FIFO in the
-//     per-device forwarder daemons, so one tenant's delivery backlog
-//     cannot monopolize a device's host-to-device link;
+//   - each tenant gets its own class in the per-device forwarder's
+//     deficit-round-robin delivery queue, so one tenant's delivery
+//     backlog cannot monopolize a device's host-to-device link;
 //   - per-tenant software-cache partitions bound how many host cache
 //     lines a tenant keeps resident, with intra-tenant FIFO eviction —
 //     one tenant can never evict another tenant's lines.
 //
 // Everything here advances on the kernel clock only. When no tenants
 // are configured (EnableQoS never called) every hook short-circuits on
-// a nil pointer and the task behaves byte-identically to before.
+// a nil pointer and every delivery lands in the queue's single class
+// -1, which the forwarder serves in FIFO order.
 package host
 
 import (
 	"fmt"
+	"slices"
 
 	"vscc/internal/mem"
 	"vscc/internal/pcie"
@@ -73,33 +75,33 @@ type cacheRef struct {
 
 // qosState is the task-wide multi-tenant state.
 type qosState struct {
-	quantum int
 	tenants map[int]*tenantQoS
 	byCore  map[[2]int]*tenantQoS // (dev, core) -> tenant
-	drr     []*drrQueue           // per destination device
 }
 
-// EnableQoS arms the multi-tenant layer: per-device deficit-round-robin
-// delivery queues (quantum bytes of service per tenant per round; <= 0
-// selects a line-sized default) and the tenant table consulted by the
-// bandwidth and cache hooks. It must be called before the kernel runs —
-// the forwarder daemons pick their queue discipline on first dispatch.
+// defaultQuantum is the delivery queues' DRR quantum unless EnableQoS
+// sets another.
+const defaultQuantum = 4 * mem.LineSize
+
+// EnableQoS arms the multi-tenant layer: the tenant table consulted by
+// the bandwidth, cache and delivery-class hooks, and the quantum of the
+// per-device delivery queues (bytes of service per tenant per round;
+// <= 0 keeps the line-sized default). It must be called before the
+// kernel runs.
 func (t *Task) EnableQoS(quantum int) {
 	if t.qos != nil {
 		return
 	}
 	if quantum <= 0 {
-		quantum = 4 * mem.LineSize
+		quantum = defaultQuantum
 	}
-	q := &qosState{
-		quantum: quantum,
+	for _, d := range t.devs {
+		d.queue.quantum = quantum
+	}
+	t.qos = &qosState{
 		tenants: make(map[int]*tenantQoS),
 		byCore:  make(map[[2]int]*tenantQoS),
 	}
-	for d := range t.Chips {
-		q.drr = append(q.drr, newDRRQueue(t.Kernel, d, quantum))
-	}
-	t.qos = q
 }
 
 // SetTenant creates or reconfigures a tenant's QoS record.
@@ -172,9 +174,12 @@ func (t *Task) chargeTenant(p *sim.Proc, q *tenantQoS, bytes int) {
 }
 
 // tenantAt resolves the tenant owning the region a delivery lands in.
-// Unregistered targets (or unbound owners) fall to class -1, which the
-// DRR queue serves like any other class.
+// Unregistered targets, unbound owners and every delivery while QoS is
+// off fall to class -1, which the DRR queue serves like any other class.
 func (t *Task) tenantAt(dev, tile, off int) int {
+	if t.qos == nil {
+		return -1
+	}
 	rg := t.regions.find(dev, tile, off)
 	if rg == nil {
 		return -1
@@ -239,11 +244,11 @@ func (q *tenantQoS) evictOldest() bool {
 
 // --- deficit round robin ------------------------------------------------
 
-// drrQueue is one device's multi-class delivery queue: per-tenant FIFOs
-// served by deficit round robin. Within a tenant, delivery order is
-// exactly the old single-FIFO order, preserving the data-before-flag
-// guarantee per source; across tenants, each active class earns quantum
-// bytes of host-to-device service per round.
+// drrQueue is one device's delivery queue: per-tenant FIFOs served by
+// deficit round robin. Within a tenant class delivery is FIFO,
+// preserving the data-before-flag guarantee per source; across tenants,
+// each active class earns quantum bytes of host-to-device service per
+// round. With a single class it is a plain FIFO.
 type drrQueue struct {
 	cond    *sim.Cond
 	quantum int
@@ -260,10 +265,10 @@ type drrClass struct {
 	queued  bool // on the active list
 }
 
-func newDRRQueue(k *sim.Kernel, dev, quantum int) *drrQueue {
+func newDRRQueue(k *sim.Kernel, dev int) *drrQueue {
 	return &drrQueue{
-		cond:    sim.NewCond(k, fmt.Sprintf("drrq.d%d", dev)),
-		quantum: quantum,
+		cond:    sim.NewCond(k, fmt.Sprintf("deliverq.d%d", dev)),
+		quantum: defaultQuantum,
 		classes: make(map[int]*drrClass),
 	}
 }
@@ -338,15 +343,6 @@ func (q *drrQueue) pop(p *sim.Proc) deliverItem {
 	}
 }
 
-// QueueDepth reports the number of deliveries queued toward dev across
-// all tenants (testing hook).
-func (t *Task) QueueDepth(dev int) int {
-	if t.qos != nil {
-		return t.qos.drr[dev].total
-	}
-	return t.deliverQ[dev].Len()
-}
-
 // --- region teardown ----------------------------------------------------
 
 // UnregisterAt removes the region containing (dev, tile, off) from the
@@ -368,30 +364,15 @@ func (t *Task) UnregisterAt(dev, tile, off int) bool {
 
 func (t *Task) unregister(rg *Region) {
 	t.regions.remove(rg)
-	if e := t.caches[rg]; e != nil {
+	if e := rg.cache; e != nil {
 		e.invalidate(rg.Off, rg.Len)
-		delete(t.caches, rg)
-		for i, le := range t.cacheList {
-			if le == e {
-				t.cacheList = append(t.cacheList[:i], t.cacheList[i+1:]...)
-				break
-			}
-		}
+		t.cacheList = slices.DeleteFunc(t.cacheList, func(x *cacheEntry) bool { return x == e })
 	}
-	if w := t.wcbs[rg]; w != nil {
-		delete(t.wcbs, rg)
-		for i, lw := range t.wcbList {
-			if lw == w {
-				t.wcbList = append(t.wcbList[:i], t.wcbList[i+1:]...)
-				break
-			}
-		}
+	if w := rg.wcb; w != nil {
+		d := t.devs[rg.Dev]
+		d.wcbs = slices.DeleteFunc(d.wcbs, func(x *hostWCB) bool { return x == w })
 	}
 	t.killStreams(rg)
-	for d := range t.Chips {
-		delete(t.streams, streamKey{readerDev: d, rg: rg})
-	}
-	for _, sb := range t.sifBufs {
-		sb.invalidateRange(rg.Dev, rg.Tile, rg.Off, rg.Len)
-	}
+	rg.cache, rg.wcb = nil, nil
+	t.invalidateSIF(rg.Dev, rg.Tile, rg.Off, rg.Len)
 }

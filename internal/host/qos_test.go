@@ -56,30 +56,46 @@ func TestTenantBandwidthCap(t *testing.T) {
 }
 
 // DRR alternates service between equally backlogged tenants, quantum
-// bytes per visit, and keeps FIFO order within each tenant.
+// bytes per visit, and keeps FIFO order within each tenant. With one
+// class — every delivery while QoS is off lands in class -1 — the queue
+// is a plain FIFO, also across quantum recharges.
 func TestDRRQueueFairness(t *testing.T) {
-	k := sim.NewKernel()
-	q := newDRRQueue(k, 0, 100)
-	for i := 0; i < 3; i++ {
-		q.enqueue(1, deliverItem{data: pattern(100, byte(i))})
-	}
-	for i := 0; i < 3; i++ {
-		q.enqueue(2, deliverItem{data: pattern(100, byte(10+i))})
-	}
-	var seeds []byte
-	for i := 0; i < 6; i++ {
-		it := q.pop(nil)
-		seeds = append(seeds, it.data[0])
-	}
-	// pattern(n, seed)[0] == seed, so the service order reads directly.
-	want := []byte{0, 10, 1, 11, 2, 12}
-	for i := range want {
-		if seeds[i] != want[i] {
-			t.Fatalf("service order %v, want %v (alternating, FIFO within tenant)", seeds, want)
-		}
-	}
-	if q.total != 0 {
-		t.Fatalf("queue not drained: %d left", q.total)
+	for _, c := range []struct {
+		name    string
+		tenants []int // tenant of the i-th enqueued item, seeded i
+		sizes   []int
+		want    []byte
+	}{
+		{
+			name:    "two tenants",
+			tenants: []int{1, 1, 1, 2, 2, 2},
+			sizes:   []int{100, 100, 100, 100, 100, 100},
+			want:    []byte{0, 3, 1, 4, 2, 5},
+		},
+		{
+			name:    "one tenant",
+			tenants: []int{-1, -1, -1, -1, -1, -1},
+			sizes:   []int{100, 60, 100, 0, 100, 32},
+			want:    []byte{0, 1, 2, 3, 4, 5},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q := newDRRQueue(sim.NewKernel(), 0)
+			q.quantum = 100
+			for i, tenant := range c.tenants {
+				q.enqueue(tenant, deliverItem{off: i, data: pattern(c.sizes[i], byte(i))})
+			}
+			var got []byte
+			for range c.tenants {
+				got = append(got, byte(q.pop(nil).off))
+			}
+			if string(got) != string(c.want) {
+				t.Fatalf("service order %v, want %v", got, c.want)
+			}
+			if q.total != 0 {
+				t.Fatalf("queue not drained: %d left", q.total)
+			}
+		})
 	}
 }
 
@@ -87,8 +103,8 @@ func TestDRRQueueFairness(t *testing.T) {
 // flags cannot be starved out of a round by a bulk tenant — and vice
 // versa a bulk tenant still gets its quantum.
 func TestDRRQueueFlagCost(t *testing.T) {
-	k := sim.NewKernel()
-	q := newDRRQueue(k, 0, 100)
+	q := newDRRQueue(sim.NewKernel(), 0)
+	q.quantum = 100
 	q.enqueue(1, deliverItem{data: pattern(100, 1)})
 	q.enqueue(2, deliverItem{isFlag: true})
 	q.enqueue(1, deliverItem{data: pattern(100, 2)})

@@ -80,6 +80,15 @@ type Region struct {
 	// Owner is the core id (on Dev) that registered the region and is
 	// allowed to issue update/invalidate commands for it.
 	Owner int
+
+	// The communication task's state for the region, set by
+	// Task.Register and dropped by UnregisterAt: the host software copy
+	// of a ModeCached region with the reader streams it feeds (creation
+	// order), and the write-combining buffer of a ModeWriteCombining
+	// region.
+	cache   *cacheEntry
+	streams []*stream
+	wcb     *hostWCB
 }
 
 // Contains reports whether (tile, off) on the region's device falls
@@ -125,9 +134,13 @@ func (t *regionTable) remove(rg *Region) {
 	}
 }
 
+// on returns the regions registered on (dev, tile), in registration
+// order.
+func (t *regionTable) on(dev, tile int) []*Region { return t.byTile[[2]int{dev, tile}] }
+
 // find returns the region containing (dev, tile, off), or nil.
 func (t *regionTable) find(dev, tile, off int) *Region {
-	for _, rg := range t.byTile[[2]int{dev, tile}] {
+	for _, rg := range t.on(dev, tile) {
 		if rg.Contains(tile, off) {
 			return rg
 		}

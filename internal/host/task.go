@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 
 	"vscc/internal/fault"
 	"vscc/internal/mem"
@@ -91,26 +92,12 @@ type Task struct {
 	Fabric *pcie.Fabric
 	Chips  []*scc.Chip
 
-	regions   *regionTable
-	regs      map[int]*registerFile
-	caches    map[*Region]*cacheEntry
-	cacheList []*cacheEntry // deterministic iteration order
-	wcbs      map[*Region]*hostWCB
-	wcbList   []*hostWCB
-	sifBufs   []*sifBuffer
-	streams   map[streamKey]*stream
-	streamLst []*stream
-
-	// deliverQ is the per-device outbound delivery queue, drained in FIFO
-	// order by one forwarder daemon per device — the paper's
-	// "multithreaded daemon" with one thread per device (§3.2). FIFO
-	// through a single queue and link preserves data-before-flag order
-	// from any one source.
-	deliverQ []*sim.Queue[deliverItem]
-	// wcbPending counts in-flight write-combining flush bursts per
-	// target device; flag deliveries fence on it.
-	wcbPending []int
-	wcbCond    []*sim.Cond
+	regions *regionTable
+	devs    []*device
+	// cacheList holds the software copies of the registered cached
+	// regions in registration order, for the visits that must reach
+	// every copy (crash restart, arming faults).
+	cacheList []*cacheEntry
 
 	// vdmaChans orders vDMA transactions per requesting core: data
 	// bursts of consecutive transactions may pipeline, but notify and
@@ -141,21 +128,42 @@ type Task struct {
 	// nobody acts on the doorbell. A stall drains the queue on resume; a
 	// crash loses it (the device-side retry ladder re-programs).
 	pendingCmds []BankCommand
-	// devGates model per-device reachability for the task's synchronous
-	// paths: the membership manager closes a gate while a device is down,
+
+	// Observability (nil sink = disabled, zero overhead); vdmaInflight is
+	// the current vDMA queue occupancy.
+	sink         *trace.Sink
+	vdmaInflight int64
+}
+
+// device is the task's state for one SCC device.
+type device struct {
+	// sif is the device-side SIF response buffer the host streams
+	// prefetched lines into.
+	sif *sifBuffer
+	// gate models the device's reachability for the task's synchronous
+	// paths: the membership manager closes it while the device is down,
 	// so blocking reads and transparent forwards toward it park until the
 	// rejoin instead of touching wiped memory. Open the whole run when no
 	// device faults are armed (zero cost — an open gate never parks).
-	devGates []*sim.Gate
-
-	// Observability (nil sink = disabled, zero overhead). fwdTracks
-	// carries the per-device forwarder-daemon occupancy tracks; wcbGauges
-	// the per-device in-flight flush-burst gauge names; vdmaInflight the
-	// current vDMA queue occupancy.
-	sink         *trace.Sink
-	fwdTracks    []trace.Track
-	wcbGauges    []string
-	vdmaInflight int64
+	gate *sim.Gate
+	// queue holds the outbound deliveries toward the device, drained by
+	// its forwarder daemon — the paper's "multithreaded daemon" with one
+	// thread per device (§3.2). Within one tenant class delivery is FIFO
+	// through a single queue and link, which preserves data-before-flag
+	// order from any one source.
+	queue *drrQueue
+	// wcbs are the write-combining buffers of the device's regions in
+	// registration order; wcbPending counts their in-flight flush bursts
+	// and flag deliveries toward the device fence on it.
+	wcbs       []*hostWCB
+	wcbPending int
+	wcbCond    *sim.Cond
+	// regs is the device's host register window.
+	regs *Banks
+	// fwdTrack is the forwarder's occupancy track and wcbGauge the name of
+	// the in-flight flush-burst gauge, set while a sink is attached.
+	fwdTrack trace.Track
+	wcbGauge string
 }
 
 // Statically assert the port contract.
@@ -173,10 +181,6 @@ func New(k *sim.Kernel, fabric *pcie.Fabric, chips []*scc.Chip, params Params) (
 		Fabric:    fabric,
 		Chips:     chips,
 		regions:   newRegionTable(),
-		regs:      make(map[int]*registerFile),
-		caches:    make(map[*Region]*cacheEntry),
-		wcbs:      make(map[*Region]*hostWCB),
-		streams:   make(map[streamKey]*stream),
 		vdmaChans: make(map[[2]int]*vdmaChannel),
 		coreGen:   make(map[[2]int]uint32),
 		rec:       fault.DefaultRecovery(),
@@ -188,13 +192,15 @@ func New(k *sim.Kernel, fabric *pcie.Fabric, chips []*scc.Chip, params Params) (
 		if bufLines <= 0 {
 			bufLines = 1 // placeholder; streaming is disabled
 		}
-		t.sifBufs = append(t.sifBufs, newSIFBuffer(k, d, bufLines))
-		g := sim.NewGate(k, fmt.Sprintf("dev%d.reachable", d))
-		g.Open()
-		t.devGates = append(t.devGates, g)
-		t.wcbPending = append(t.wcbPending, 0)
-		t.wcbCond = append(t.wcbCond, sim.NewCond(k, fmt.Sprintf("wcbpending.d%d", d)))
-		t.deliverQ = append(t.deliverQ, sim.NewQueue[deliverItem](k, fmt.Sprintf("deliverq.d%d", d)))
+		dv := &device{
+			sif:     newSIFBuffer(k, d, bufLines),
+			gate:    sim.NewGate(k, fmt.Sprintf("dev%d.reachable", d)),
+			queue:   newDRRQueue(k, d),
+			wcbCond: sim.NewCond(k, fmt.Sprintf("wcbpending.d%d", d)),
+			regs:    NewBanks(),
+		}
+		dv.gate.Open()
+		t.devs = append(t.devs, dv)
 		chips[d].OffChip = t
 		d := d
 		k.SpawnDaemon(fmt.Sprintf("commtask.d%d", d), func(p *sim.Proc) { t.runForwarder(p, d) })
@@ -223,12 +229,12 @@ func (t *Task) Register(rg *Region) error {
 		if q := t.tenantByCore(rg.Dev, rg.Owner); q != nil && q.cacheQuota > 0 {
 			e.acct = q
 		}
-		t.caches[rg] = e
+		rg.cache = e
 		t.cacheList = append(t.cacheList, e)
 	case ModeWriteCombining:
-		w := newHostWCB(t.Kernel, rg)
-		t.wcbs[rg] = w
-		t.wcbList = append(t.wcbList, w)
+		rg.wcb = newHostWCB(rg)
+		d := t.devs[rg.Dev]
+		d.wcbs = append(d.wcbs, rg.wcb)
 	}
 	return nil
 }
@@ -299,14 +305,14 @@ func (t *Task) restart() {
 	for _, e := range t.cacheList {
 		e.invalidate(e.rg.Off, e.rg.Len)
 		e.hotEnd = 0
+		for _, st := range e.rg.streams {
+			st.active = false
+		}
 	}
-	for _, sb := range t.sifBufs {
-		sb.reset()
+	for _, d := range t.devs {
+		d.sif.reset()
+		d.regs = NewBanks()
 	}
-	for _, st := range t.streamLst {
-		st.active = false
-	}
-	t.regs = make(map[int]*registerFile)
 	t.stats.HostRestarts++
 	t.faults.RecordRecovery("watchdog-restart", "host", -1)
 	t.gate.Open()
@@ -316,10 +322,10 @@ func (t *Task) restart() {
 // it when the device leaves the drain window. Synchronous host paths
 // toward the device park on its gate; posted traffic is already held in
 // the PCIe journals by the framing layer.
-func (t *Task) DeviceDown(d int) { t.devGates[d].Close() }
+func (t *Task) DeviceDown(d int) { t.devs[d].gate.Close() }
 
 // DeviceUp reopens a device's gate after its rejoin.
-func (t *Task) DeviceUp(d int) { t.devGates[d].Open() }
+func (t *Task) DeviceUp(d int) { t.devs[d].gate.Open() }
 
 // RetireCore invalidates every in-flight write sourced from a core:
 // posted deliveries, write-combining flushes and vDMA copies (including
@@ -338,7 +344,7 @@ func (t *Task) coreEpoch(dev, core int) uint32 { return t.coreGen[[2]int{dev, co
 func (t *Task) coreLive(dev, core int, g uint32) bool { return t.coreGen[[2]int{dev, core}] == g }
 
 // devWait parks p while device d is unreachable.
-func (t *Task) devWait(p *sim.Proc, d int) { t.devGates[d].Wait(p) }
+func (t *Task) devWait(p *sim.Proc, d int) { t.devs[d].gate.Wait(p) }
 
 // forwardWait guards a synchronous forward running on the requesting
 // core's proc against an unreachable target device. With transparent
@@ -349,11 +355,12 @@ func (t *Task) devWait(p *sim.Proc, d int) { t.devGates[d].Wait(p) }
 // fault.ErrDeviceLost. A requester's own device is never failed fast
 // (its cores freeze at the chip barrier instead).
 func (t *Task) forwardWait(p *sim.Proc, srcDev, srcCore, dev int) {
-	if t.faults != nil && !t.rec.DeviceRetry && dev != srcDev && !t.devGates[dev].IsOpen() {
+	gate := t.devs[dev].gate
+	if t.faults != nil && !t.rec.DeviceRetry && dev != srcDev && !gate.IsOpen() {
 		panic(fmt.Errorf("host: forward from device %d core %d: device %d lost at cycle %d: %w",
 			srcDev, srcCore, dev, t.Kernel.Now(), fault.ErrDeviceLost))
 	}
-	t.devGates[dev].Wait(p)
+	gate.Wait(p)
 }
 
 // cacheClean verifies the checksum of a cached line before it is served.
@@ -404,16 +411,14 @@ func (t *Task) hostWrite(dev, tile, off int, data []byte) {
 // WCB flush sizes, vDMA queue occupancy, and per-device forwarder-thread
 // occupancy spans. Passing a nil sink disables recording.
 func (t *Task) Instrument(s *trace.Sink) {
-	t.fwdTracks = t.fwdTracks[:0]
-	t.wcbGauges = t.wcbGauges[:0]
 	if !s.Enabled() {
 		t.sink = nil
 		return
 	}
 	t.sink = s
-	for d := range t.Chips {
-		t.fwdTracks = append(t.fwdTracks, s.Track("commtask", fmt.Sprintf("d%d", d)))
-		t.wcbGauges = append(t.wcbGauges, fmt.Sprintf("host.wcb_pending.d%d", d))
+	for i, d := range t.devs {
+		d.fwdTrack = s.Track("commtask", fmt.Sprintf("d%d", i))
+		d.wcbGauge = fmt.Sprintf("host.wcb_pending.d%d", i)
 	}
 }
 
@@ -431,36 +436,25 @@ func (t *Task) meshToSIF(p *sim.Proc, srcDev, srcCore, bytes int) {
 func (t *Task) ReadLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, buf []byte) {
 	t.meshToSIF(p, srcDev, srcCore, t.Params.ReqBytes)
 	key := lineKey(dev, tile, off)
-	sb := t.sifBufs[srcDev]
-	if data, ok := sb.take(key); ok {
-		p.Delay(t.Params.SIFHitCycles)
-		copy(buf, data)
-		t.stats.SIFHits++
-		t.sink.Add("host.sif_hit", 1)
-		return
-	}
+	sb := t.devs[srcDev].sif
 	rg := t.regions.find(dev, tile, off)
-	// A stream racing toward this line: wait for it at the SIF instead of
-	// issuing a redundant slow-path read.
-	if rg != nil {
-		for {
-			st := t.streams[streamKey{readerDev: srcDev, rg: rg}]
-			if st == nil || !st.active || off < st.nextOff {
-				break
-			}
-			e := t.caches[rg]
-			if e == nil || off >= rg.Off+e.hotEnd {
-				break
-			}
-			sb.cond.Wait(p)
-			if data, ok := sb.take(key); ok {
-				p.Delay(t.Params.SIFHitCycles)
-				copy(buf, data)
-				t.stats.SIFHits++
-				t.sink.Add("host.sif_hit", 1)
-				return
-			}
+	for {
+		if data, ok := sb.take(key); ok {
+			p.Delay(t.Params.SIFHitCycles)
+			copy(buf, data)
+			t.stats.SIFHits++
+			t.sink.Add("host.sif_hit", 1)
+			return
 		}
+		// A stream racing toward this line: wait for it at the SIF
+		// instead of issuing a redundant slow-path read.
+		if rg == nil {
+			break
+		}
+		if st := rg.activeStream(srcDev); st == nil || off < st.nextOff || off >= rg.Off+rg.cache.hotEnd {
+			break
+		}
+		sb.cond.Wait(p)
 	}
 	// Slow path: cross to the host. The tenant pays for the request and
 	// its response before touching the shared link.
@@ -471,7 +465,7 @@ func (t *Task) ReadLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, buf []
 	p.Delay(t.Fabric.Params.HostOpCycles)
 	t.gate.Wait(p)
 	if rg != nil && rg.Mode == ModeCached {
-		e := t.caches[rg]
+		e := rg.cache
 		for !e.lineValid(off) && e.pending > 0 {
 			e.cond.Wait(p)
 		}
@@ -513,25 +507,21 @@ func (t *Task) startStream(readerDev int, rg *Region, fromOff int) {
 	if t.Params.SIFBufferLines <= 0 {
 		return
 	}
-	key := streamKey{readerDev: readerDev, rg: rg}
-	if st := t.streams[key]; st != nil && st.active {
+	if rg.activeStream(readerDev) != nil || fromOff >= rg.Off+rg.cache.hotEnd {
 		return
 	}
-	e := t.caches[rg]
-	if e == nil || fromOff >= rg.Off+e.hotEnd {
-		return
-	}
+	// Finished streams leave the region's list here, so it holds at most
+	// one entry per reader device, in creation order.
 	st := &stream{readerDev: readerDev, rg: rg, nextOff: fromOff, active: true}
-	t.streams[key] = st
-	t.streamLst = append(t.streamLst, st)
+	rg.streams = append(slices.DeleteFunc(rg.streams, func(s *stream) bool { return !s.active }), st)
 	t.Kernel.Spawn(fmt.Sprintf("stream.d%d->d%d", rg.Dev, readerDev), func(sp *sim.Proc) {
 		t.runStream(sp, st)
 	})
 }
 
 func (t *Task) runStream(sp *sim.Proc, st *stream) {
-	e := t.caches[st.rg]
-	sb := t.sifBufs[st.readerDev]
+	e := st.rg.cache
+	sb := t.devs[st.readerDev].sif
 	for st.active && st.nextOff < st.rg.Off+e.hotEnd {
 		t.gate.Wait(sp)
 		if !st.active {
@@ -587,7 +577,7 @@ func (t *Task) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data 
 	// (§2.3/§3.3).
 	if rg != nil && rg.Mode == ModeWriteCombining && rg.Kind == KindData {
 		d := snapshot(data)
-		w := t.wcbs[rg]
+		w := rg.wcb
 		t.Fabric.PostD2H(p, srcDev, mem.LineSize+t.Params.WriteHeaderBytes, func() {
 			if !t.coreLive(srcDev, srcCore, g) {
 				return
@@ -673,36 +663,24 @@ type deliverItem struct {
 	gen       uint32
 }
 
-// enqueueDeliver hands a write to the device's forwarder daemon. Under
-// multi-tenancy it lands in the destination tenant's DRR class instead
-// of the shared FIFO.
+// enqueueDeliver hands a write to the device's forwarder daemon, in the
+// destination tenant's class of the delivery queue.
 func (t *Task) enqueueDeliver(srcDev, srcCore int, g uint32, dev, tile, off int, data []byte, mask uint32, isFlag bool) {
 	it := deliverItem{tile: tile, off: off, data: data, mask: mask, isFlag: isFlag,
 		srcDev: srcDev, srcCore: srcCore, gen: g}
-	if t.qos != nil {
-		t.qos.drr[dev].enqueue(t.tenantAt(dev, tile, off), it)
-		return
-	}
-	t.deliverQ[dev].Push(it)
+	t.devs[dev].queue.enqueue(t.tenantAt(dev, tile, off), it)
 }
 
 // runForwarder is the per-device daemon thread: it drains the delivery
-// queue in FIFO order onto the device's host-to-device link. Flag items
-// first force write-combining buffers targeting the device to flush and
-// wait for those bursts to land, so a flag can never overtake combined
-// data (§3.1).
+// queue, deficit round robin across tenant classes and FIFO within one,
+// onto the device's host-to-device link. Flag items first force
+// write-combining buffers targeting the device to flush and wait for
+// those bursts to land, so a flag can never overtake combined data
+// (§3.1).
 func (t *Task) runForwarder(p *sim.Proc, dev int) {
-	q := t.deliverQ[dev]
+	d := t.devs[dev]
 	for {
-		var item deliverItem
-		if t.qos != nil {
-			// Multi-tenant: deficit-round-robin across tenant classes
-			// (EnableQoS runs before the kernel, so the discipline is
-			// fixed by the time the daemon first dispatches).
-			item = t.qos.drr[dev].pop(p)
-		} else {
-			item = q.Pop(p)
-		}
+		item := d.queue.pop(p)
 		t.gate.Wait(p)
 		t0 := p.Now()
 		if item.isFlag {
@@ -726,7 +704,7 @@ func (t *Task) runForwarder(p *sim.Proc, dev int) {
 			if item.isFlag {
 				name = "deliver-flag"
 			}
-			t.sink.Span(t.fwdTracks[dev], name, t0, p.Now())
+			t.sink.Span(d.fwdTrack, name, t0, p.Now())
 		}
 	}
 }
@@ -741,47 +719,41 @@ func (t *Task) deliver(dev, tile, off int, data []byte, mask uint32) {
 }
 
 // invalidateHostCopies drops cache and SIF copies overlapping a write.
+// Only the cached regions on the written tile can hold such a copy.
 func (t *Task) invalidateHostCopies(dev, tile, off, n int) {
-	for _, e := range t.cacheList {
-		rg := e.rg
-		if rg.Dev == dev && rg.Tile == tile && off < rg.Off+rg.Len && rg.Off < off+n {
-			lo := off
-			if lo < rg.Off {
-				lo = rg.Off
-			}
-			hi := off + n
-			if hi > rg.Off+rg.Len {
-				hi = rg.Off + rg.Len
-			}
-			e.invalidate(lo, hi-lo)
+	for _, rg := range t.regions.on(dev, tile) {
+		if rg.cache != nil && off < rg.Off+rg.Len && rg.Off < off+n {
+			lo, hi := max(off, rg.Off), min(off+n, rg.Off+rg.Len)
+			rg.cache.invalidate(lo, hi-lo)
 			t.killStreams(rg)
 		}
 	}
-	for _, sb := range t.sifBufs {
-		sb.invalidateRange(dev, tile, off, n)
+	t.invalidateSIF(dev, tile, off, n)
+}
+
+// invalidateSIF drops the buffered lines of (dev, tile, [off, off+n))
+// from every device's SIF buffer.
+func (t *Task) invalidateSIF(dev, tile, off, n int) {
+	for _, d := range t.devs {
+		d.sif.invalidateRange(dev, tile, off, n)
 	}
 }
 
-// fence blocks until all write-combining bursts toward dev have landed.
+// fence blocks until all write-combining bursts toward dev have landed,
+// force-flushing the device's write-combining buffers first.
 func (t *Task) fence(p *sim.Proc, dev int) {
-	t.flushWCBsTo(dev)
-	for t.wcbPending[dev] > 0 {
-		t.wcbCond[dev].Wait(p)
+	d := t.devs[dev]
+	for _, w := range d.wcbs {
+		t.maybeFlushWCB(w, true)
+	}
+	for d.wcbPending > 0 {
+		d.wcbCond.Wait(p)
 	}
 	t.stats.FlagFences++
 	t.sink.Add("host.flag_fence", 1)
 }
 
 // --- write combining ----------------------------------------------------
-
-// flushWCBsTo force-flushes every write-combining buffer targeting dev.
-func (t *Task) flushWCBsTo(dev int) {
-	for _, w := range t.wcbList {
-		if w.rg.Dev == dev {
-			t.maybeFlushWCB(w, true)
-		}
-	}
-}
 
 // maybeFlushWCB flushes a host write-combining buffer when it crossed
 // the burst threshold (or unconditionally when forced).
@@ -797,6 +769,7 @@ func (t *Task) maybeFlushWCB(w *hostWCB, force bool) {
 		return
 	}
 	dev := w.rg.Dev
+	d := t.devs[dev]
 	t.stats.WCBFlushes++
 	// Count the bursts against the flag fence *now*, so a flag delivery
 	// processed in the same instant cannot slip past the data.
@@ -806,12 +779,12 @@ func (t *Task) maybeFlushWCB(w *hostWCB, force bool) {
 		bursts += (len(span.data) + t.Params.DMABurstBytes - 1) / t.Params.DMABurstBytes
 		flushBytes += len(span.data)
 	}
-	t.wcbPending[dev] += bursts
+	d.wcbPending += bursts
 	if t.sink != nil {
 		t.sink.Add("host.wcb_flush", 1)
 		t.sink.Add("host.dma_bursts", int64(bursts))
 		t.sink.Observe("host.wcb_flush_bytes", float64(flushBytes))
-		t.sink.Gauge(t.wcbGauges[dev], int64(t.wcbPending[dev]))
+		t.sink.Gauge(d.wcbGauge, int64(d.wcbPending))
 	}
 	// The landing guard keys on the region owner's retirement
 	// generation: a flush racing the owner session's requeue teardown
@@ -837,11 +810,11 @@ func (t *Task) maybeFlushWCB(w *hostWCB, force bool) {
 					} else {
 						t.sink.Add("host.stale_write_drop", 1)
 					}
-					t.wcbPending[dev]--
+					d.wcbPending--
 					if t.sink != nil {
-						t.sink.Gauge(t.wcbGauges[dev], int64(t.wcbPending[dev]))
+						t.sink.Gauge(d.wcbGauge, int64(d.wcbPending))
 					}
-					t.wcbCond[dev].Broadcast()
+					d.wcbCond.Broadcast()
 				})
 			}
 		}
@@ -863,9 +836,7 @@ func (t *Task) MMIOWriteLine(p *sim.Proc, srcDev, srcCore, hostDev, off int, dat
 			if t.faults.CorruptMMIO(srcDev) {
 				d[t.faults.Pick("host.mmio", srcDev, len(d))] ^= 0x20
 			}
-			rf := t.registerFile(hostDev)
-			core := off / BankBytes
-			cmd, trigger := rf.write(core, d, mask)
+			cmd, trigger := t.devs[hostDev].regs.Write(off/BankBytes, d, mask)
 			if !trigger {
 				return
 			}
@@ -891,19 +862,10 @@ func (t *Task) MMIORead(p *sim.Proc, srcDev, srcCore, hostDev, off int, buf []by
 	link.D2H.Transfer(p, t.Params.ReqBytes)
 	p.Delay(t.Fabric.Params.HostOpCycles)
 	t.gate.Wait(p)
-	bank := t.registerFile(hostDev).read(off / BankBytes)
+	bank := t.devs[hostDev].regs.Read(off / BankBytes)
 	link.H2D.Transfer(p, t.Params.RespBytes)
 	rel := off % BankBytes
 	copy(buf, bank[rel:])
-}
-
-func (t *Task) registerFile(dev int) *registerFile {
-	rf, ok := t.regs[dev]
-	if !ok {
-		rf = newRegisterFile()
-		t.regs[dev] = rf
-	}
-	return rf
 }
 
 // execute dispatches a triggered register command after validation; a
@@ -911,7 +873,7 @@ func (t *Task) registerFile(dev int) *registerFile {
 // rejected rather than executed, and the device-side protocol recovers
 // by re-programming.
 func (t *Task) execute(cmd BankCommand) {
-	if err := cmd.validate(len(t.Chips)); err != nil {
+	if err := cmd.Validate(len(t.Chips)); err != nil {
 		t.stats.RejectedCommands++
 		t.faults.RecordRecovery("mmio-reject", "host.mmio", cmd.SrcDev)
 		return
@@ -938,9 +900,8 @@ func (t *Task) execute(cmd BankCommand) {
 		if rg == nil || rg.Mode != ModeCached || rg.Owner != cmd.SrcCore {
 			return // unregistered or foreign region: ignore, like real MMIO
 		}
-		e := t.caches[rg]
-		if end := cmd.SrcOff + cmd.Count - rg.Off; end > e.hotEnd {
-			e.hotEnd = end
+		if end := cmd.SrcOff + cmd.Count - rg.Off; end > rg.cache.hotEnd {
+			rg.cache.hotEnd = end
 		}
 		t.stats.Prefetches++
 		t.sink.Add("host.prefetch", 1)
@@ -952,40 +913,30 @@ func (t *Task) execute(cmd BankCommand) {
 			return
 		}
 		t.stats.Invalidates++
-		if e := t.caches[rg]; e != nil {
-			e.invalidate(cmd.SrcOff, cmd.Count)
+		if rg.cache != nil {
+			rg.cache.invalidate(cmd.SrcOff, cmd.Count)
 		}
 		t.killStreams(rg)
-		for _, sb := range t.sifBufs {
-			sb.invalidateRange(rg.Dev, rg.Tile, cmd.SrcOff, cmd.Count)
-		}
+		t.invalidateSIF(rg.Dev, rg.Tile, cmd.SrcOff, cmd.Count)
 	}
 }
 
-// killStreams deactivates streams sourcing from a region.
+// killStreams deactivates the streams sourcing from a region, waking
+// their readers in stream creation order.
 func (t *Task) killStreams(rg *Region) {
-	for _, st := range t.streamLst {
-		if st.rg == rg && st.active {
+	for _, st := range rg.streams {
+		if st.active {
 			st.active = false
-			t.sifBufs[st.readerDev].cond.Broadcast()
+			t.devs[st.readerDev].sif.cond.Broadcast()
 		}
 	}
-	// Drop finished streams from the list occasionally to bound growth.
-	if len(t.streamLst) > 64 {
-		live := t.streamLst[:0]
-		for _, st := range t.streamLst {
-			if st.active {
-				live = append(live, st)
-			}
-		}
-		t.streamLst = live
-	}
+	rg.streams = rg.streams[:0]
 }
 
 // runPrefetch copies [off, off+count) of a cached region into the host
 // copy in DMA bursts.
 func (t *Task) runPrefetch(p *sim.Proc, rg *Region, off, count int) {
-	e := t.caches[rg]
+	e := rg.cache
 	t.gate.Wait(p)
 	p.Delay(t.Fabric.Params.DMASetupCycles)
 	end := off + count

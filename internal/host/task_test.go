@@ -411,9 +411,8 @@ func TestSIFBufferEviction(t *testing.T) {
 }
 
 func TestHostWCBDirtySpans(t *testing.T) {
-	k := sim.NewKernel()
 	rg := &Region{Dev: 0, Tile: 0, Off: 64, Len: 256}
-	w := newHostWCB(k, rg)
+	w := newHostWCB(rg)
 	w.absorb(64, pattern(32, 1), 0xFFFFFFFF)
 	w.absorb(128, pattern(32, 2), 0x0000000F) // only 4 bytes
 	spans := w.takeDirtySpans()
@@ -459,5 +458,101 @@ func TestDeterministicInterDeviceRun(t *testing.T) {
 		if got := run(); got != first {
 			t.Fatalf("nondeterministic: run %d ended at %d, first %d", i, got, first)
 		}
+	}
+}
+
+// UnregisterAt drops everything the task derived from a region: the
+// cached copy (the next read is forwarded), the unflushed
+// write-combining bytes (a later flag fence flushes nothing), a running
+// stream, and the SIF lines it streamed, including those still in
+// flight.
+func TestUnregisterAtDropsRegionState(t *testing.T) {
+	r := newRig(t, 2, pcie.AckHost)
+	cached := &Region{Dev: 0, Tile: 0, Off: 0, Len: 1024, Kind: KindData, Mode: ModeCached, Owner: 0}
+	wcb := &Region{Dev: 1, Tile: 0, Off: 0, Len: 1024, Kind: KindData, Mode: ModeWriteCombining, Owner: 0}
+	flag := &Region{Dev: 1, Tile: 0, Off: 8192, Len: 32, Kind: KindFlag, Mode: ModeTransparent, Owner: 1}
+	for _, rg := range []*Region{cached, wcb, flag} {
+		if err := r.task.Register(rg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msg := pattern(1024, 3)
+	r.chips[0].Launch(0, "owner", func(ctx *scc.Ctx) {
+		ctx.WriteMPB(0, 0, 0, msg)
+		ctx.FlushWCB()
+		bank := EncodeBank(BankCommand{Cmd: CmdUpdate, SrcOff: 0, Count: len(msg)})
+		ctx.MMIOWrite(0, 0, bank[:])
+		ctx.FlushWCB()
+		ctx.WriteMPB(1, 0, 0, pattern(512, 4)) // below the flush threshold
+		ctx.FlushWCB()
+		ctx.Delay(600_000)
+		ctx.WriteMPB(1, 0, 8192, []byte{1}) // the flag fences dev 1's WCBs
+		ctx.FlushWCB()
+	})
+	sif := r.task.devs[1].sif
+	sifLines := func() int {
+		n := 0
+		for o := 0; o < cached.Len; o += mem.LineSize {
+			if _, ok := sif.lines[lineKey(0, 0, o)]; ok {
+				n++
+			}
+		}
+		return n
+	}
+	r.chips[1].Launch(0, "reader", func(ctx *scc.Ctx) {
+		ctx.Delay(150_000) // the prefetch lands
+		line := make([]byte, mem.LineSize)
+		ctx.InvalidateMPB()
+		ctx.ReadMPB(0, 0, 0, line) // cached; starts a stream into dev 1's SIF
+		st := cached.activeStream(1)
+		if st == nil || cached.cache == nil || wcb.wcb == nil || wcb.wcb.dirtyBytes != 512 {
+			t.Errorf("before UnregisterAt: stream %v, cache %v, wcb %v — nothing to drop", st, cached.cache, wcb.wcb)
+			return
+		}
+		ctx.Delay(3_000) // some streamed lines land, more are in flight
+		if !st.active || sifLines() == 0 {
+			t.Errorf("before UnregisterAt: stream active %v with %d lines in the SIF buffer, want a running stream", st.active, sifLines())
+		}
+		if !r.task.UnregisterAt(0, 0, 0) || !r.task.UnregisterAt(1, 0, 0) {
+			t.Fatal("UnregisterAt found no region")
+		}
+		if cached.cache != nil || len(cached.streams) != 0 || st.active || wcb.wcb != nil {
+			t.Error("UnregisterAt left the region's cache, stream or WCB attached")
+		}
+		if len(r.task.cacheList) != 0 || len(r.task.devs[1].wcbs) != 0 {
+			t.Error("UnregisterAt left the region on the task's cache or WCB list")
+		}
+		if n := sifLines(); n != 0 {
+			t.Errorf("UnregisterAt left %d of the region's lines in the SIF buffer", n)
+		}
+		ctx.Delay(200_000) // in-flight streamed lines arrive and are discarded
+		if n := sifLines(); n != 0 {
+			t.Errorf("%d streamed lines re-entered the SIF buffer after UnregisterAt", n)
+		}
+		before := r.task.Stats()
+		ctx.InvalidateMPB()
+		ctx.ReadMPB(0, 0, mem.LineSize, line)
+		after := r.task.Stats()
+		if after.ForwardedReads != before.ForwardedReads+1 || after.CachedReads != before.CachedReads || after.SIFHits != before.SIFHits {
+			t.Errorf("read after UnregisterAt: stats %+v -> %+v, want one forwarded read", before, after)
+		}
+		if !bytes.Equal(line, msg[mem.LineSize:2*mem.LineSize]) {
+			t.Error("forwarded read returned wrong data")
+		}
+	})
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := r.task.Stats()
+	if st.FlagFences == 0 {
+		t.Error("the flag write did not fence")
+	}
+	if st.WCBFlushes != 0 {
+		t.Errorf("WCB flushes = %d, want 0: the dropped buffer was flushed", st.WCBFlushes)
+	}
+	got := make([]byte, 512)
+	r.chips[1].HostReadLMB(0, 0, got)
+	if !bytes.Equal(got, make([]byte, 512)) {
+		t.Error("the unregistered WCB's bytes landed on the device")
 	}
 }

@@ -87,9 +87,6 @@ func (pd *PDES) Kernel(i int) *Kernel { return pd.kernels[i] }
 // N returns the number of sub-kernels.
 func (pd *PDES) N() int { return len(pd.kernels) }
 
-// Lookahead returns the configured lookahead.
-func (pd *PDES) Lookahead() Cycles { return pd.la }
-
 // Windows returns the number of synchronization windows executed so
 // far — the PDES-level work metric (barrier crossings).
 func (pd *PDES) Windows() uint64 { return pd.windows }

@@ -160,9 +160,6 @@ type Config struct {
 	// knob; 0 = half the MPB payload area). Must not exceed half the
 	// payload area.
 	VDMASlotBytes int
-	// OnChipProtocol handles same-device rank pairs; nil means the RCCE
-	// default (blocking local put / remote get).
-	OnChipProtocol rcce.Protocol
 	// FailedCores lists silently failed cores per device index, as the
 	// research system frequently exhibits at startup (§4).
 	FailedCores map[int][]int
@@ -178,10 +175,9 @@ type Config struct {
 	// exact same code paths.
 	Faults *fault.Config
 
-	// ChipParams, FabricParams and HostParams default when zero-valued.
-	ChipParams   *scc.Params
-	FabricParams *pcie.Params
-	HostParams   *host.Params
+	// HostParams overrides the communication task's calibrated
+	// parameters (ablation knob); nil keeps host.DefaultParams.
+	HostParams *host.Params
 }
 
 // System is a running vSCC: the chips, the fabric, and the communication
@@ -200,7 +196,7 @@ type System struct {
 }
 
 // params validates cfg and returns its chip, fabric and host
-// parameters, defaulted where left nil.
+// parameters: the calibrated defaults, with HostParams applied.
 func (cfg Config) params() (scc.Params, pcie.Params, host.Params, error) {
 	chip, fabric, hst := scc.DefaultParams(), pcie.DefaultParams(), host.DefaultParams()
 	if cfg.Devices <= 0 {
@@ -208,12 +204,6 @@ func (cfg Config) params() (scc.Params, pcie.Params, host.Params, error) {
 	}
 	if cfg.Scheme == SchemeHWAccel && cfg.Devices > 2 {
 		return chip, fabric, hst, fmt.Errorf("vscc: the hardware-accelerated scheme is unstable beyond 2 devices (§2.3); got %d", cfg.Devices)
-	}
-	if cfg.ChipParams != nil {
-		chip = *cfg.ChipParams
-	}
-	if cfg.FabricParams != nil {
-		fabric = *cfg.FabricParams
 	}
 	if cfg.HostParams != nil {
 		hst = *cfg.HostParams
@@ -362,10 +352,6 @@ func (s *System) newSessionAt(places []rcce.Place, scheme Scheme, opts ...rcce.O
 // protocol builds the inter-device wire protocol of a session of n
 // ranks running scheme.
 func (cfg Config) protocol(scheme Scheme, n int) (*interDeviceProtocol, error) {
-	base := cfg.OnChipProtocol
-	if base == nil {
-		base = rcce.DefaultProtocol{}
-	}
 	threshold := cfg.DirectThreshold
 	if threshold == 0 {
 		threshold = scheme.DirectThreshold()
@@ -374,7 +360,7 @@ func (cfg Config) protocol(scheme Scheme, n int) (*interDeviceProtocol, error) {
 		return nil, fmt.Errorf("vscc: vDMA slot %d exceeds half the payload area (%d)", cfg.VDMASlotBytes, rcce.PayloadBytes/2)
 	}
 	return &interDeviceProtocol{
-		base:      base,
+		base:      rcce.DefaultProtocol{},
 		scheme:    scheme,
 		threshold: threshold,
 		slot:      cfg.VDMASlotBytes,
