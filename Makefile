@@ -39,13 +39,15 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Real kernel-throughput measurement (see BENCH_kernel.json), including
-# the PDES engine's cross-kernel rate, BT wall-clock and the task
-# runtime's workload wall-clock. -count repeats every benchmark so each
-# number comes with its spread.
+# the PDES engine's cross-kernel rate, BT wall-clock, the task
+# runtime's workload wall-clock and the per-line WCB, L1 and core MPB
+# operations. -count repeats every benchmark so each number comes with
+# its spread.
 bench-kernel:
 	$(GO) test ./internal/sim -run='^$$' -bench='KernelEventThroughput|PDESThroughput' -benchmem -count=5
 	$(GO) test -run='^$$' -bench=PDESBT -benchtime=2x -count=5 .
 	$(GO) test ./internal/taskrt -run='^$$' -bench=TaskrtWorkloads -benchmem -count=5
+	$(GO) test ./internal/mem ./internal/scc -run='^$$' -bench='^Benchmark(WCBWrite|L1|CtxMPB)$$' -benchmem -count=5
 
 # Fault-injection gate: injector unit tests, the fault matrix, the
 # recovery tests and the soak's 1x short schedule, all under the race

@@ -19,6 +19,9 @@ func main() {
 	size := flag.Int("size", 65536, "message size for throughput ablations [B]")
 	reps := flag.Int("reps", 3, "round trips per measurement")
 	run := harness.BindRunFlags(flag.CommandLine, "ablation point", "seed=7,drop=20,stall=1000000:200000", true)
+	// The BT scheme ablation runs untraced (see harness.AblateBTScheme).
+	flag.Lookup("trace").Usage = "write a Chrome trace-event JSON file of the ping-pong ablation points"
+	flag.Lookup("metrics").Usage = "print a cycle-accurate metrics report per ping-pong ablation point"
 	flag.Parse()
 	obs, err := run.Apply()
 	check(err)

@@ -29,8 +29,8 @@ type Log struct {
 	tailBytes  int
 }
 
-// NewLog returns an empty log whose first Checkpoint call defines the
-// bank geometry.
+// NewLog returns an empty log whose first checkpoint defines the bank
+// geometry.
 func NewLog() *Log { return &Log{} }
 
 // Note journals one store. The data is copied: callers may reuse their
@@ -44,28 +44,26 @@ func (l *Log) Note(bank, off int, data []byte) {
 	l.tailBytes += len(data)
 }
 
-// Checkpoint snapshots the bank images (copied) and truncates the
-// journal — the quiesce-point capture.
-func (l *Log) Checkpoint(banks [][]byte) {
+// CheckpointFrom takes a snapshot and truncates the journal — the
+// quiesce-point capture. capture copies the live bank images into the
+// buffers it is handed (the previous snapshot's, nil before the first
+// checkpoint) and returns them; the log keeps what it returns, so a
+// capture that reuses the buffers makes a checkpoint allocation-free.
+// It returns the snapshot's payload bytes.
+func (l *Log) CheckpointFrom(capture func(dst [][]byte) [][]byte) (bytes int) {
 	if l == nil {
-		return
+		return 0
 	}
-	if len(l.snap) != len(banks) {
-		l.snap = make([][]byte, len(banks))
-	}
-	total := 0
-	for i, b := range banks {
-		if len(l.snap[i]) != len(b) {
-			l.snap[i] = make([]byte, len(b))
-		}
-		copy(l.snap[i], b)
-		total += len(b)
+	l.snap = capture(l.snap)
+	for _, b := range l.snap {
+		bytes += len(b)
 	}
 	l.tail = l.tail[:0]
 	l.tailWrites = 0
 	l.tailBytes = 0
 	l.snaps++
-	l.snapBytes += total
+	l.snapBytes += bytes
+	return bytes
 }
 
 // Restore rebuilds the crash-point memory image: the snapshot with the

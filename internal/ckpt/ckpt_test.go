@@ -5,13 +5,30 @@ import (
 	"testing"
 )
 
+// from returns a capture that copies banks into the log's reused
+// buffers, as scc.(*Chip).SnapshotLMBInto does for a chip.
+func from(banks [][]byte) func([][]byte) [][]byte {
+	return func(dst [][]byte) [][]byte {
+		if len(dst) != len(banks) {
+			dst = make([][]byte, len(banks))
+		}
+		for i, b := range banks {
+			if len(dst[i]) != len(b) {
+				dst[i] = make([]byte, len(b))
+			}
+			copy(dst[i], b)
+		}
+		return dst
+	}
+}
+
 func TestRestoreReplaysSnapshotPlusTail(t *testing.T) {
 	l := NewLog()
 	banks := [][]byte{make([]byte, 64), make([]byte, 64)}
 	for i := range banks[0] {
 		banks[0][i] = byte(i)
 	}
-	l.Checkpoint(banks)
+	l.CheckpointFrom(from(banks))
 
 	// Mutations after the checkpoint, journaled as they happen.
 	copy(banks[0][8:], []byte{0xAA, 0xBB})
@@ -39,12 +56,12 @@ func TestRestoreReplaysSnapshotPlusTail(t *testing.T) {
 
 func TestCheckpointTruncatesTail(t *testing.T) {
 	l := NewLog()
-	l.Checkpoint([][]byte{make([]byte, 16)})
+	l.CheckpointFrom(from([][]byte{make([]byte, 16)}))
 	l.Note(0, 0, []byte{9})
 	if w, b := l.TailLen(); w != 1 || b != 1 {
 		t.Fatalf("tail = %d/%d, want 1/1", w, b)
 	}
-	l.Checkpoint([][]byte{{9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}})
+	l.CheckpointFrom(from([][]byte{{9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}))
 	if w, b := l.TailLen(); w != 0 || b != 0 {
 		t.Errorf("tail survived a checkpoint: %d/%d", w, b)
 	}
@@ -68,7 +85,7 @@ func TestRestoreWithoutCheckpoint(t *testing.T) {
 	// Notes before the first checkpoint are discarded by it, not
 	// replayed into it.
 	l.Note(0, 0, []byte{1})
-	l.Checkpoint([][]byte{make([]byte, 4)})
+	l.CheckpointFrom(from([][]byte{make([]byte, 4)}))
 	img, writes, _ := l.Restore()
 	if writes != 0 || img[0][0] != 0 {
 		t.Errorf("pre-checkpoint note replayed (writes=%d, byte=%d)", writes, img[0][0])
@@ -77,7 +94,7 @@ func TestRestoreWithoutCheckpoint(t *testing.T) {
 
 func TestOutOfRangeRecordsSkipped(t *testing.T) {
 	l := NewLog()
-	l.Checkpoint([][]byte{make([]byte, 8)})
+	l.CheckpointFrom(from([][]byte{make([]byte, 8)}))
 	l.tail = append(l.tail,
 		Record{Bank: 5, Off: 0, Data: []byte{1}},
 		Record{Bank: 0, Off: 7, Data: []byte{1, 2}},
@@ -95,7 +112,7 @@ func TestOutOfRangeRecordsSkipped(t *testing.T) {
 func TestNilLogIsInert(t *testing.T) {
 	var l *Log
 	l.Note(0, 0, []byte{1})
-	l.Checkpoint(nil)
+	l.CheckpointFrom(from(nil))
 	if l.Armed() {
 		t.Error("nil log armed")
 	}
@@ -107,5 +124,31 @@ func TestNilLogIsInert(t *testing.T) {
 	}
 	if n, b := l.Checkpoints(); n != 0 || b != 0 {
 		t.Error("nil log has checkpoints")
+	}
+}
+
+func TestCheckpointFromReusesSnapshot(t *testing.T) {
+	l := NewLog()
+	var handed [][]byte
+	capture := func(dst [][]byte) [][]byte {
+		handed = dst
+		return from([][]byte{{1, 2}, {3, 4, 5}})(dst)
+	}
+	if n := l.CheckpointFrom(capture); n != 5 || handed != nil {
+		t.Fatalf("first checkpoint = %d bytes, handed %v; want 5 bytes, nil buffers", n, handed)
+	}
+	first := l.snap
+	l.Note(1, 0, []byte{9})
+	if n := l.CheckpointFrom(capture); n != 5 {
+		t.Fatalf("second checkpoint = %d bytes, want 5", n)
+	}
+	if &handed[0][0] != &first[0][0] || &handed[1][0] != &first[1][0] {
+		t.Error("second capture was not handed the first snapshot's buffers")
+	}
+	if w, _ := l.TailLen(); w != 0 {
+		t.Errorf("tail = %d records after a checkpoint, want 0", w)
+	}
+	if n := testing.AllocsPerRun(100, func() { l.CheckpointFrom(capture) }); n != 0 {
+		t.Errorf("steady-state checkpoint allocates %.1f times, want 0", n)
 	}
 }

@@ -149,8 +149,11 @@ func AblateDirectThreshold(scheme vscc.Scheme, size, reps int) (direct, engaged 
 }
 
 // AblateBTScheme compares BT on a cross-device session under every
-// scheme — the application-level consequence of the scheme choice.
+// scheme — the application-level consequence of the scheme choice. Its
+// points run with the harness observer detached: one 100-rank class C
+// run alone fills gigabytes of trace events.
 func AblateBTScheme(ranks, iters int, schemes []vscc.Scheme) (map[vscc.Scheme]float64, error) {
+	defer SetObserver(SetObserver(nil))
 	gflops, err := mapPoints(schemes, func(s vscc.Scheme) (float64, error) {
 		pt, err := BTRun(BTSweepConfig{Class: npb.ClassC, Iterations: iters, Scheme: s, Devices: 5}, ranks)
 		if err != nil {

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"sync"
 	"testing"
 
+	"vscc/internal/sim"
+	"vscc/internal/trace"
 	"vscc/internal/vscc"
 )
 
@@ -72,5 +75,32 @@ func TestAblateWCBFlushGranularity(t *testing.T) {
 	}
 	if min <= 0 || max/min > 1.5 {
 		t.Errorf("flush granularity impact out of band: %v", res)
+	}
+}
+
+// The BT scheme ablation runs untraced — a 100-rank class C point fills
+// gigabytes of trace events — while the ping-pong ablations around it
+// keep the installed observer.
+func TestAblateBTSchemeIsUntraced(t *testing.T) {
+	var mu sync.Mutex
+	var labels []string
+	prev := SetObserver(func(label string, k *sim.Kernel) *trace.Sink {
+		mu.Lock()
+		defer mu.Unlock()
+		labels = append(labels, label)
+		return nil
+	})
+	defer SetObserver(prev)
+	if _, err := AblateBTScheme(4, 1, []vscc.Scheme{vscc.SchemeVDMA}); err != nil {
+		t.Fatal(err)
+	}
+	if len(labels) != 0 {
+		t.Fatalf("BT ablation traced %v, want no point", labels)
+	}
+	if _, _, err := AblateDirectThreshold(vscc.SchemeVDMA, 64, 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(labels) == 0 {
+		t.Fatal("observer not restored: the ping-pong ablation after the BT ablation was not traced")
 	}
 }

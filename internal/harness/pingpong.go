@@ -43,6 +43,11 @@ func pingPong(mk func() (*rcce.Session, error), a, b, size, reps int) (PingPongP
 	params := session.Chip(a).Params
 	var start, end sim.Cycles
 	runErr := session.Run(func(r *rcce.Rank) {
+		// Only the measuring pair touches message buffers; every other
+		// rank of the session idles through the run.
+		if r.ID() != a && r.ID() != b {
+			return
+		}
 		msg := make([]byte, size)
 		for i := range msg {
 			msg[i] = byte(i * 31)

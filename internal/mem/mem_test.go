@@ -171,15 +171,15 @@ func TestL1RefillSameKeyNoEvict(t *testing.T) {
 
 func TestWCBMergesSameLine(t *testing.T) {
 	var w WCB
-	if d := w.Write(10, 0, []byte{1, 2, 3, 4}); d != nil {
+	var p Pending
+	if w.Write(10, 0, []byte{1, 2, 3, 4}, &p) {
 		t.Fatal("first write drained")
 	}
-	if d := w.Write(10, 4, []byte{5, 6, 7, 8}); d != nil {
+	if w.Write(10, 4, []byte{5, 6, 7, 8}, &p) {
 		t.Fatal("same-line write drained")
 	}
-	p := w.Flush()
-	if p == nil {
-		t.Fatal("flush returned nil")
+	if !w.Flush(&p) {
+		t.Fatal("flush drained nothing")
 	}
 	if p.Key != 10 || p.Bytes() != 8 {
 		t.Errorf("pending = key %d, %d bytes; want 10, 8", p.Key, p.Bytes())
@@ -191,9 +191,9 @@ func TestWCBMergesSameLine(t *testing.T) {
 
 func TestWCBDrainsOnLineSwitch(t *testing.T) {
 	var w WCB
-	w.Write(1, 0, []byte{0xAA})
-	d := w.Write(2, 0, []byte{0xBB})
-	if d == nil || d.Key != 1 || d.Data[0] != 0xAA {
+	var d Pending
+	w.Write(1, 0, []byte{0xAA}, &d)
+	if !w.Write(2, 0, []byte{0xBB}, &d) || d.Key != 1 || d.Data[0] != 0xAA {
 		t.Fatalf("line switch did not drain line 1: %+v", d)
 	}
 	if !w.Dirty() {
@@ -206,18 +206,18 @@ func TestWCBVDMARegisterFusion(t *testing.T) {
 	// count, control) contiguous within one 32 B line fuse into a single
 	// remote write.
 	var w WCB
-	if d := w.Write(0, 0, []byte{1, 0, 0, 0, 0, 0, 0, 0}); d != nil { // address
+	var p Pending
+	if w.Write(0, 0, []byte{1, 0, 0, 0, 0, 0, 0, 0}, &p) { // address
 		t.Fatal("unexpected drain")
 	}
-	if d := w.Write(0, 8, []byte{2, 0, 0, 0, 0, 0, 0, 0}); d != nil { // count
+	if w.Write(0, 8, []byte{2, 0, 0, 0, 0, 0, 0, 0}, &p) { // count
 		t.Fatal("unexpected drain")
 	}
-	if d := w.Write(0, 16, []byte{3, 0, 0, 0, 0, 0, 0, 0}); d != nil { // control
+	if w.Write(0, 16, []byte{3, 0, 0, 0, 0, 0, 0, 0}, &p) { // control
 		t.Fatal("unexpected drain")
 	}
-	p := w.Flush()
-	if p == nil || p.Bytes() != 24 {
-		t.Fatalf("fusion produced %v, want one 24-byte pending line", p)
+	if !w.Flush(&p) || p.Bytes() != 24 {
+		t.Fatalf("fusion produced %+v, want one 24-byte pending line", p)
 	}
 	if s := w.Stats(); s.Drains != 1 || s.Merges != 2 {
 		t.Errorf("stats = %+v, want 1 drain, 2 merges", s)
@@ -226,18 +226,19 @@ func TestWCBVDMARegisterFusion(t *testing.T) {
 
 func TestWCBFullLine(t *testing.T) {
 	var w WCB
+	var p Pending
 	full := make([]byte, LineSize)
-	w.Write(3, 0, full)
-	p := w.Flush()
-	if p == nil || !p.Full() {
+	w.Write(3, 0, full, &p)
+	if !w.Flush(&p) || !p.Full() {
 		t.Errorf("full-line write not reported Full: %+v", p)
 	}
 }
 
 func TestWCBFlushEmpty(t *testing.T) {
 	var w WCB
-	if p := w.Flush(); p != nil {
-		t.Errorf("flush of clean WCB = %+v, want nil", p)
+	p := Pending{Key: 7}
+	if w.Flush(&p) || p.Key != 7 {
+		t.Errorf("flush of clean WCB drained %+v, want nothing", p)
 	}
 }
 
@@ -248,7 +249,7 @@ func TestWCBWriteOutsideLinePanics(t *testing.T) {
 			t.Error("oversized WCB write did not panic")
 		}
 	}()
-	w.Write(0, 30, []byte{1, 2, 3})
+	w.Write(0, 30, []byte{1, 2, 3}, new(Pending))
 }
 
 // Property: LMB writes at arbitrary aligned offsets always read back
@@ -290,8 +291,9 @@ func TestPropertyWCBNoByteLoss(t *testing.T) {
 		var w WCB
 		want := map[uint64][LineSize]byte{}
 		mask := map[uint64]uint32{}
-		apply := func(p *Pending) {
-			if p == nil {
+		var p Pending
+		apply := func(drained bool) {
+			if !drained {
 				return
 			}
 			line := want[p.Key]
@@ -308,13 +310,13 @@ func TestPropertyWCBNoByteLoss(t *testing.T) {
 		for _, op := range ops {
 			key := uint64(op.Key % 4)
 			off := int(op.Off) % LineSize
-			apply(w.Write(key, off, []byte{op.Val}))
+			apply(w.Write(key, off, []byte{op.Val}, &p))
 			line := shadow[key]
 			line[off] = op.Val
 			shadow[key] = line
 			shadowMask[key] |= 1 << uint(off)
 		}
-		apply(w.Flush())
+		apply(w.Flush(&p))
 		for key, m := range shadowMask {
 			if mask[key] != m {
 				return false

@@ -37,15 +37,16 @@ func (p Pending) Bytes() int {
 }
 
 // Write merges a store of data at byte offset off into the line keyed by
-// key. If the WCB currently holds a different line, that line drains and
-// is returned; otherwise drained is nil. len(data) must fit in the line.
-func (w *WCB) Write(key uint64, off int, data []byte) (drained *Pending) {
+// key. If the WCB currently holds a different line, that line drains
+// into *out and Write reports true; otherwise *out is untouched.
+// len(data) must fit in the line.
+func (w *WCB) Write(key uint64, off int, data []byte, out *Pending) (drained bool) {
 	if off < 0 || off+len(data) > LineSize {
 		panic("mem: WCB write outside line")
 	}
 	if w.valid && w.key != key {
-		d := w.take()
-		drained = &d
+		w.take(out)
+		drained = true
 	}
 	if !w.valid {
 		w.valid = true
@@ -55,19 +56,23 @@ func (w *WCB) Write(key uint64, off int, data []byte) (drained *Pending) {
 		w.merges++
 	}
 	copy(w.buf[off:], data)
-	for i := 0; i < len(data); i++ {
-		w.mask |= 1 << uint(off+i)
-	}
+	w.mask |= byteMask(off, len(data))
 	return drained
 }
 
-// Flush drains the buffered line, if any.
-func (w *WCB) Flush() *Pending {
+// byteMask selects the n bytes starting at byte off of a line.
+func byteMask(off, n int) uint32 {
+	return uint32((uint64(1)<<uint(n) - 1) << uint(off))
+}
+
+// Flush drains the buffered line, if any, into *out and reports whether
+// there was one.
+func (w *WCB) Flush(out *Pending) bool {
 	if !w.valid {
-		return nil
+		return false
 	}
-	d := w.take()
-	return &d
+	w.take(out)
+	return true
 }
 
 // Dirty reports whether a line is buffered.
@@ -77,14 +82,13 @@ func (w *WCB) Dirty() bool { return w.valid }
 // the scc consistency checker to flag reads overlapping combined stores.
 func (w *WCB) PendingKey() (key uint64, ok bool) { return w.key, w.valid }
 
-func (w *WCB) take() Pending {
-	p := Pending{Key: w.key, Data: w.buf, Mask: w.mask}
+func (w *WCB) take(out *Pending) {
+	*out = Pending{Key: w.key, Data: w.buf, Mask: w.mask}
 	w.valid = false
 	w.drains++
-	if !p.Full() {
+	if !out.Full() {
 		w.partial++
 	}
-	return p
 }
 
 // WCBStats is a snapshot of write-combine counters.

@@ -242,15 +242,20 @@ func (c *Chip) barrier(p *sim.Proc) {
 	}
 }
 
-// SnapshotLMB copies every tile's LMB image — the checkpoint capture.
-func (c *Chip) SnapshotLMB() [][]byte {
-	out := make([][]byte, len(c.Tiles))
-	for i, t := range c.Tiles {
-		img := make([]byte, t.LMB.Size())
-		t.LMB.Read(0, img)
-		out[i] = img
+// SnapshotLMBInto copies every tile's LMB image into dst — the
+// checkpoint capture — and returns it. dst's buffers are reused; only a
+// missing or wrongly sized one is allocated.
+func (c *Chip) SnapshotLMBInto(dst [][]byte) [][]byte {
+	if len(dst) != len(c.Tiles) {
+		dst = make([][]byte, len(c.Tiles))
 	}
-	return out
+	for i, t := range c.Tiles {
+		if len(dst[i]) != t.LMB.Size() {
+			dst[i] = make([]byte, t.LMB.Size())
+		}
+		t.LMB.Read(0, dst[i])
+	}
+	return dst
 }
 
 // LoadLMB overwrites every tile's LMB with a restored image, bypassing

@@ -11,9 +11,19 @@ import (
 // the core's instruction-level view of the memory system. All methods
 // charge calibrated cycle costs and move real bytes. Methods must only be
 // called from the process that Launch created.
+//
+// The line scratch lives here, not on the Core: Launch makes one Ctx per
+// process, and a requeued session can run a second process on a core
+// while a stranded one is still parked mid-operation.
 type Ctx struct {
 	Core *Core
 	Proc *sim.Proc
+
+	// drained receives the line a WCB write or flush drains; fetched
+	// receives a line an L1 miss loads. Both are reused by every
+	// operation, so the line path allocates nothing.
+	drained mem.Pending
+	fetched [mem.LineSize]byte
 }
 
 // chip returns the owning device.
@@ -99,18 +109,18 @@ func (c *Ctx) ReadMPB(dev, tile, off int, buf []byte) {
 			n += chunk
 			continue
 		}
-		var line [mem.LineSize]byte
+		line := c.fetched[:]
 		if dev == chip.Index {
 			cost := p.LocalMPBReadCycles
 			if hops := chip.Mesh.Hops(c.Core.Tile.Coord, TileCoord(tile)); hops > 0 {
 				cost = p.RemoteReadBaseCycles + sim.Cycles(hops)*p.PerHopCycles
 			}
 			c.Proc.Delay(cost)
-			chip.readLMB(tile, lineBase, line[:])
+			chip.readLMB(tile, lineBase, line)
 		} else {
-			chip.offChip().ReadLine(c.Proc, chip.Index, c.Core.ID, dev, tile, lineBase, line[:])
+			chip.offChip().ReadLine(c.Proc, chip.Index, c.Core.ID, dev, tile, lineBase, line)
 		}
-		c.Core.L1.Fill(key, line)
+		c.Core.L1.Fill(key, c.fetched)
 		if ck := chip.check; ck != nil {
 			c.Core.fillGen[key] = ck.gen(key)
 		}
@@ -133,8 +143,8 @@ func (c *Ctx) WriteMPB(dev, tile, off int, data []byte) {
 			chunk = rem
 		}
 		key := lineKey(dev, tile, lineBase)
-		if drained := c.Core.WCB.Write(key, lineOff, data[n:n+chunk]); drained != nil {
-			c.drain(drained)
+		if c.Core.WCB.Write(key, lineOff, data[n:n+chunk], &c.drained) {
+			c.drain()
 		}
 		c.Proc.Delay(1) // store issue
 		n += chunk
@@ -144,14 +154,15 @@ func (c *Ctx) WriteMPB(dev, tile, off int, data []byte) {
 // FlushWCB drains any pending write-combine line.
 func (c *Ctx) FlushWCB() {
 	c.chip().barrier(c.Proc)
-	if drained := c.Core.WCB.Flush(); drained != nil {
-		c.drain(drained)
+	if c.Core.WCB.Flush(&c.drained) {
+		c.drain()
 	}
 }
 
-// drain delivers one WCB line to its destination, charging posted-write
-// cost.
-func (c *Ctx) drain(pd *mem.Pending) {
+// drain delivers the drained WCB line to its destination, charging
+// posted-write cost.
+func (c *Ctx) drain() {
+	pd := &c.drained
 	chip := c.chip()
 	p := chip.Params
 	if pd.Key&(1<<60) != 0 { // MMIO line
@@ -200,8 +211,8 @@ func (c *Ctx) MMIOWrite(hostDev, off int, data []byte) {
 			chunk = rem
 		}
 		key := mmioKey(hostDev, lineBase)
-		if drained := c.Core.WCB.Write(key, lineOff, data[n:n+chunk]); drained != nil {
-			c.drain(drained)
+		if c.Core.WCB.Write(key, lineOff, data[n:n+chunk], &c.drained) {
+			c.drain()
 		}
 		c.Proc.Delay(1)
 		n += chunk

@@ -7,6 +7,12 @@ import "vscc/internal/sim"
 // run in the calling core's process context and block according to the
 // configured acknowledgement mode (see package pcie); they are the data
 // transfer layer the paper's communication task sits behind.
+//
+// Buffer ownership: every data and buf slice belongs to the caller. The
+// calling core passes its per-process line scratch and reuses it as soon
+// as the method returns, so an implementation that keeps bytes beyond
+// the call (a queued delivery, a closure run later) must copy them, and
+// must finish filling buf before it returns.
 type OffChipPort interface {
 	// ReadLine fetches one 32-byte-aligned MPB line of a foreign device
 	// into buf (len 32), blocking until the response arrives.

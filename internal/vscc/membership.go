@@ -169,7 +169,7 @@ func newDevLifecycle(k *sim.Kernel, chip *scc.Chip, t crashTiming, h lifecycleHo
 	// exists even for a crash before the first interval tick — the
 	// journal then replays the whole history, which is correct if
 	// slow; the periodic checkpoints exist to truncate it.
-	l.log.Checkpoint(chip.SnapshotLMB())
+	l.log.CheckpointFrom(chip.SnapshotLMBInto)
 	// Periodic checkpoints run as a self-rescheduling timer chain, not a
 	// Delay-looping daemon: the chain stops once every scheduled fault
 	// has completed, so the kernel's event queue can drain.
@@ -209,12 +209,7 @@ func (l *devLifecycle) checkpoint() {
 	if l.state != DevUp {
 		return
 	}
-	banks := l.chip.SnapshotLMB()
-	l.log.Checkpoint(banks)
-	total := 0
-	for _, b := range banks {
-		total += len(b)
-	}
+	total := l.log.CheckpointFrom(l.chip.SnapshotLMBInto)
 	l.count("ckpt.take", 1)
 	l.count("ckpt.bytes", int64(total))
 }
@@ -270,7 +265,7 @@ func (l *devLifecycle) rejoin(wipe bool) {
 		l.img = nil
 		// Rebase the journal on the restored image so a second crash
 		// replays from here, not from the pre-crash snapshot.
-		l.log.Checkpoint(l.chip.SnapshotLMB())
+		l.log.CheckpointFrom(l.chip.SnapshotLMBInto)
 	}
 	l.state = DevUp
 	if l.hooks.replay != nil {

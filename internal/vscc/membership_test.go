@@ -5,6 +5,7 @@ import (
 
 	"vscc/internal/fault"
 	"vscc/internal/rcce"
+	"vscc/internal/scc"
 	"vscc/internal/sim"
 	"vscc/internal/trace"
 )
@@ -323,5 +324,25 @@ func TestMembershipNotBuiltWithoutDeviceFaults(t *testing.T) {
 	}
 	if sys.Membership != nil {
 		t.Error("membership manager built without any device fault scheduled")
+	}
+}
+
+// A periodic checkpoint copies the chip's LMBs straight into the log's
+// reused snapshot buffers: after the boot checkpoint it allocates
+// nothing, and the snapshot still tracks the live memory.
+func TestPeriodicCheckpointAllocationFree(t *testing.T) {
+	k := sim.NewKernel()
+	chip := scc.NewChip(k, 0, scc.DefaultParams())
+	l := newDevLifecycle(k, chip, crashTiming{interval: 1000}, lifecycleHooks{})
+	chip.HostWriteLMB(3, 64, []byte{7})
+	if n := testing.AllocsPerRun(20, l.checkpoint); n != 0 {
+		t.Errorf("periodic checkpoint allocates %.1f times, want 0", n)
+	}
+	if w, _ := l.log.TailLen(); w != 0 {
+		t.Errorf("journal holds %d records after a checkpoint, want 0", w)
+	}
+	img, _, _ := l.log.Restore()
+	if len(img) != scc.NumTiles || img[3][64] != 7 {
+		t.Error("checkpoint image misses a store made before it")
 	}
 }

@@ -299,9 +299,9 @@ func (pt *pdesPort) writePolicy(off int) (ack pcie.AckMode, posted bool) {
 
 // WriteLine implements scc.OffChipPort.
 func (pt *pdesPort) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data []byte, mask uint32) {
-	// Copy the masked line out of the caller's WCB slot: that buffer is
-	// reused the moment this method returns, but the bytes cross a
-	// kernel boundary and land a window later.
+	// Copy the masked line out of the caller's line scratch: that buffer
+	// is reused the moment this method returns (see scc.OffChipPort), but
+	// the bytes cross a kernel boundary and land a window later.
 	var buf [mem.LineSize]byte
 	copy(buf[:], data)
 	now := p.Now()
